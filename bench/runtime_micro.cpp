@@ -147,13 +147,13 @@ void BM_ConvAcceleratorTile(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// Host interpreter: legacy tree walker vs. compiled ExecPlan
+// Host interpreter: tree walker vs. threaded ExecPlan engine
 //===----------------------------------------------------------------------===//
 
 /// CPU-level linalg.generic matmul (the mlir_CPU baseline): every point of
 /// the M*N*K space runs through the executor, so executor overhead
-/// dominates. The IR is built and lowered once; the compiled variants also
-/// build their plan once (cached inside the Interpreter).
+/// dominates. The IR is built and lowered once; the threaded variant also
+/// builds its plan once (memoized inside the Interpreter).
 void interpretMatMulCpu(benchmark::State &State, exec::ExecMode Mode) {
   int64_t Dims = State.range(0);
   MLIRContext Context;
@@ -190,9 +190,6 @@ void interpretMatMulCpu(benchmark::State &State, exec::ExecMode Mode) {
 void BM_InterpretMatMulCpuWalker(benchmark::State &State) {
   interpretMatMulCpu(State, exec::ExecMode::Walker);
 }
-void BM_InterpretMatMulCpuCompiled(benchmark::State &State) {
-  interpretMatMulCpu(State, exec::ExecMode::Plan);
-}
 void BM_InterpretMatMulCpuThreaded(benchmark::State &State) {
   interpretMatMulCpu(State, exec::ExecMode::Threaded);
 }
@@ -200,7 +197,7 @@ void BM_InterpretMatMulCpuThreaded(benchmark::State &State) {
 /// Shared fixture for the axirt-level benches: one matmul func lowered
 /// through the full pipeline to axirt.* calls, plus the simulated board
 /// and filled argument buffers. Keeping this in one place guarantees the
-/// walker/compiled/fused/unfused variants all measure the same pipeline.
+/// walker/threaded/plan-opt variants all measure the same pipeline.
 struct AxirtMatMulFixture {
   MLIRContext Context;
   OwningOpRef Owner;
@@ -265,44 +262,8 @@ void interpretMatMulAxirt(benchmark::State &State, exec::ExecMode Mode) {
 void BM_InterpretMatMulAxirtWalker(benchmark::State &State) {
   interpretMatMulAxirt(State, exec::ExecMode::Walker);
 }
-void BM_InterpretMatMulAxirtCompiled(benchmark::State &State) {
-  interpretMatMulAxirt(State, exec::ExecMode::Plan);
-}
 void BM_InterpretMatMulAxirtThreaded(benchmark::State &State) {
   interpretMatMulAxirt(State, exec::ExecMode::Threaded);
-}
-
-/// Send/wait fusion ablation: the same axirt-lowered matmul executed from
-/// a plan with and without the compile-time fusion of adjacent
-/// start_send+wait_send / start_recv+wait_recv pairs. Modeled counters
-/// are identical (ExecPlanTest proves it); the delta is pure host-side
-/// dispatch on the DMA-heavy sequence.
-void interpretMatMulAxirtPlan(benchmark::State &State, bool FusePairs) {
-  AxirtMatMulFixture F;
-  if (!F.init(State))
-    return;
-  std::string Error;
-  auto Plan = exec::ExecPlan::compile(F.Func, Error, FusePairs);
-  if (!Plan) {
-    State.SkipWithError(Error.c_str());
-    return;
-  }
-  for (auto _ : State) {
-    F.Soc->resetCounters();
-    if (failed(Plan->run(*F.Soc, F.Runtime.get(), {F.A, F.B, F.C}, Error))) {
-      State.SkipWithError(Error.c_str());
-      break;
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * State.range(0) *
-                          State.range(0) * State.range(0));
-}
-
-void BM_ExecPlanAxirtUnfused(benchmark::State &State) {
-  interpretMatMulAxirtPlan(State, /*FusePairs=*/false);
-}
-void BM_ExecPlanAxirtFused(benchmark::State &State) {
-  interpretMatMulAxirtPlan(State, /*FusePairs=*/true);
 }
 
 /// Plan-optimizer ablation (src/exec/opt): the A-stationary driver — the
@@ -329,9 +290,11 @@ void interpretMatMulAxirtPlanOpt(benchmark::State &State,
     return;
   }
   exec::opt::PlanOptStats Stats = exec::opt::optimizePlan(*Plan, Options);
+  auto Decoded = exec::DecodedPlan::decode(*Plan);
   for (auto _ : State) {
     F.Soc->resetCounters();
-    if (failed(Plan->run(*F.Soc, F.Runtime.get(), {F.A, F.B, F.C}, Error))) {
+    if (failed(Decoded->run(*F.Soc, F.Runtime.get(), {F.A, F.B, F.C},
+                            Error))) {
       State.SkipWithError(Error.c_str());
       break;
     }
@@ -354,16 +317,14 @@ void BM_ExecPlanAxirtOptimized(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// Threaded-dispatch executor ablation: the same compiled plan run through
-// the PR-3 plan interpreter (one switch per instruction, generic odometer)
-// vs. the pre-decoded threaded engine (computed-goto dispatch, specialized
-// micro-kernels). Modeled counters are bit-identical by contract
-// (PlanEquivalenceFuzzTest); the delta is pure host wall-clock.
+// Threaded-dispatch executor: a compiled plan pre-decoded and run directly
+// (computed-goto dispatch, specialized micro-kernels), without the
+// Interpreter's per-run memo lookup.
 //===----------------------------------------------------------------------===//
 
 /// CPU-path matmul: one linalg.generic, M*N*K points through the
-/// executor — the odometer-vs-specialized-kernel comparison.
-void execPlanCpuMatMul(benchmark::State &State, bool Threaded) {
+/// specialized mul+add kernel.
+void BM_ExecPlanCpuMatMulThreaded(benchmark::State &State) {
   int64_t Dims = State.range(0);
   MLIRContext Context;
   registerAllDialects(Context);
@@ -393,10 +354,7 @@ void execPlanCpuMatMul(benchmark::State &State, bool Threaded) {
 
   for (auto _ : State) {
     Soc->resetCounters();
-    LogicalResult Result =
-        Threaded ? Decoded->run(*Soc, nullptr, {A, B, C}, Error)
-                 : Plan->run(*Soc, nullptr, {A, B, C}, Error);
-    if (failed(Result)) {
+    if (failed(Decoded->run(*Soc, nullptr, {A, B, C}, Error))) {
       State.SkipWithError(Error.c_str());
       break;
     }
@@ -406,16 +364,9 @@ void execPlanCpuMatMul(benchmark::State &State, bool Threaded) {
   State.SetItemsProcessed(State.iterations() * Dims * Dims * Dims);
 }
 
-void BM_ExecPlanCpuMatMul(benchmark::State &State) {
-  execPlanCpuMatMul(State, /*Threaded=*/false);
-}
-void BM_ExecPlanCpuMatMulThreaded(benchmark::State &State) {
-  execPlanCpuMatMul(State, /*Threaded=*/true);
-}
-
 /// CPU-path conv2d: the strided input map exercises the linear-fold
 /// indexing (d2*s + d5) in the specialized kernel.
-void execPlanCpuConv(benchmark::State &State, bool Threaded) {
+void BM_ExecPlanCpuConvThreaded(benchmark::State &State) {
   int64_t HW = State.range(0);
   MLIRContext Context;
   registerAllDialects(Context);
@@ -446,23 +397,13 @@ void execPlanCpuConv(benchmark::State &State, bool Threaded) {
 
   for (auto _ : State) {
     Soc->resetCounters();
-    LogicalResult Result =
-        Threaded ? Decoded->run(*Soc, nullptr, {In, Filter, Out}, Error)
-                 : Plan->run(*Soc, nullptr, {In, Filter, Out}, Error);
-    if (failed(Result)) {
+    if (failed(Decoded->run(*Soc, nullptr, {In, Filter, Out}, Error))) {
       State.SkipWithError(Error.c_str());
       break;
     }
   }
   State.SetItemsProcessed(State.iterations() * 4 * OutHW * OutHW * 4 * 3 *
                           3);
-}
-
-void BM_ExecPlanCpuConv(benchmark::State &State) {
-  execPlanCpuConv(State, /*Threaded=*/false);
-}
-void BM_ExecPlanCpuConvThreaded(benchmark::State &State) {
-  execPlanCpuConv(State, /*Threaded=*/true);
 }
 
 /// Axirt-path threaded run (the DMA-heavy driver): dispatch is a smaller
@@ -517,17 +458,11 @@ BENCHMARK(BM_MatMulAcceleratorTile)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_MatMulAcceleratorTileWordwise)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_ConvAcceleratorTile)->Arg(4)->Arg(16);
 BENCHMARK(BM_InterpretMatMulCpuWalker)->Arg(16)->Arg(32);
-BENCHMARK(BM_InterpretMatMulCpuCompiled)->Arg(16)->Arg(32);
 BENCHMARK(BM_InterpretMatMulCpuThreaded)->Arg(16)->Arg(32);
 BENCHMARK(BM_InterpretMatMulAxirtWalker)->Arg(32)->Arg(64);
-BENCHMARK(BM_InterpretMatMulAxirtCompiled)->Arg(32)->Arg(64);
 BENCHMARK(BM_InterpretMatMulAxirtThreaded)->Arg(32)->Arg(64);
-BENCHMARK(BM_ExecPlanCpuMatMul)->Arg(16)->Arg(32);
 BENCHMARK(BM_ExecPlanCpuMatMulThreaded)->Arg(16)->Arg(32);
-BENCHMARK(BM_ExecPlanCpuConv)->Arg(16)->Arg(32);
 BENCHMARK(BM_ExecPlanCpuConvThreaded)->Arg(16)->Arg(32);
-BENCHMARK(BM_ExecPlanAxirtUnfused)->Arg(64);
-BENCHMARK(BM_ExecPlanAxirtFused)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtPlanOptNone)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtOptimized)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtThreaded)->Arg(64);

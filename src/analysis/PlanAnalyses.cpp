@@ -6,6 +6,8 @@
 
 #include "analysis/PlanAnalyses.h"
 
+#include "sim/Semantics.h"
+
 #include <algorithm>
 
 using namespace axi4mlir;
@@ -94,29 +96,12 @@ bool analysis::evalConstDst(const Inst &I, const SlotFacts &Facts,
     if ((I.Sub & PlanView::BinFloatResult) || !Facts.isConst(I.A) ||
         !Facts.isConst(I.B))
       return false;
-    double LHS = static_cast<double>(Facts.Value[I.A]);
-    double RHS = static_cast<double>(Facts.Value[I.B]);
-    double R = 0;
-    switch (static_cast<BinKind>(I.Sub & 0x7)) {
-    case BinKind::Add:
-      R = LHS + RHS;
-      break;
-    case BinKind::Mul:
-      R = LHS * RHS;
-      break;
-    case BinKind::Sub:
-      R = LHS - RHS;
-      break;
-    case BinKind::Div:
-      if (RHS == 0)
-        return false;
-      R = LHS / RHS;
-      break;
-    case BinKind::Max:
-      R = LHS > RHS ? LHS : RHS;
-      break;
-    }
-    Out = static_cast<int64_t>(R);
+    BinKind Kind = static_cast<BinKind>(I.Sub & 0x7);
+    if (Kind == BinKind::Div && Facts.Value[I.B] == 0)
+      return false;
+    Out = sim::toInt(sim::applyBinary(
+        Kind, static_cast<double>(Facts.Value[I.A]),
+        static_cast<double>(Facts.Value[I.B])));
     return true;
   }
   case Op::CallCopyLiteralToDma:
@@ -140,13 +125,11 @@ int64_t analysis::constTripCount(const Inst &LoopBegin,
   if (!Facts.isConst(LoopBegin.A) || !Facts.isConst(LoopBegin.B) ||
       !Facts.isConst(LoopBegin.C))
     return -1;
-  int64_t Lb = Facts.Value[LoopBegin.A], Ub = Facts.Value[LoopBegin.B],
-          Step = Facts.Value[LoopBegin.C];
+  int64_t Step = Facts.Value[LoopBegin.C];
   if (Step <= 0)
     return -1;
-  if (Lb >= Ub)
-    return 0;
-  return (Ub - Lb + Step - 1) / Step;
+  return sim::tripCount(Facts.Value[LoopBegin.A], Facts.Value[LoopBegin.B],
+                        Step);
 }
 
 bool analysis::inputWriteRange(const Inst &I, const SlotFacts &Facts,

@@ -13,8 +13,8 @@
 /// shared math is caught by both the differential fuzzers and the
 /// mutation tests.
 ///
-/// All arithmetic mirrors ExecPlan::runSpan exactly (Binary computes in
-/// double and truncates back to int64, like the tree walker).
+/// All arithmetic is the executors' own: Binary folding and trip counts
+/// call the shared semantics in sim/Semantics.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,14 +64,14 @@ struct SlotFacts {
 };
 
 /// Evaluates \p I's result under \p Facts; true when it is a compile-time
-/// constant. Covers constants, index_cast, integer Binary (double
-/// arithmetic, runSpan-identical) and the staging end-offset results of
+/// constant. Covers constants, index_cast, integer Binary (except division
+/// by zero) and the staging end-offset results of
 /// copy_to_dma / copy_literal_to_dma.
 bool evalConstDst(const PlanView::Inst &I, const SlotFacts &Facts,
                   int64_t &Out);
 
 /// Constant trip count of a LoopBegin instruction, or -1 when any bound
-/// is unknown or the step is non-positive (runSpan rejects those at
+/// is unknown or the step is non-positive (the executors reject those at
 /// execution time).
 int64_t constTripCount(const PlanView::Inst &LoopBegin,
                        const SlotFacts &Facts);

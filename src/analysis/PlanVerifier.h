@@ -18,7 +18,7 @@
 ///    error; a read of a slot defined only inside a possibly zero-trip
 ///    loop is a strict-mode finding;
 ///  * loop sanity: constant-folded bounds with a non-positive step, the
-///    condition runSpan rejects at execution time, are rejected here;
+///    condition the executors reject at execution time, are rejected here;
 ///  * DMA staging bounds: every staged copy, send and receive whose
 ///    offsets constant-fold is proven inside the active dma_init's
 ///    input/output region; unprovable transfers are strict findings;

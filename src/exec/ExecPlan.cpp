@@ -14,14 +14,12 @@
 #include "runtime/StridedCopy.h"
 #include "transforms/Passes.h"
 
-#include <cassert>
 #include <map>
 #include <ostream>
 #include <sstream>
 
 using namespace axi4mlir;
 using namespace axi4mlir::exec;
-using runtime::MemRefDesc;
 
 //===----------------------------------------------------------------------===//
 // Compilation
@@ -108,18 +106,8 @@ LogicalResult ExecPlanBuilder::compileOp(Operation *Op,
     return success();
   }
   if (Name.rfind("arith.", 0) == 0 && Op->getNumOperands() == 2) {
-    ExecPlan::BinKind Kind;
-    if (Name == "arith.addf" || Name == "arith.addi")
-      Kind = ExecPlan::BinKind::Add;
-    else if (Name == "arith.mulf" || Name == "arith.muli")
-      Kind = ExecPlan::BinKind::Mul;
-    else if (Name == "arith.subf" || Name == "arith.subi")
-      Kind = ExecPlan::BinKind::Sub;
-    else if (Name == "arith.divf")
-      Kind = ExecPlan::BinKind::Div;
-    else if (Name == "arith.maxf")
-      Kind = ExecPlan::BinKind::Max;
-    else
+    sim::BinKind Kind;
+    if (!sim::arithBinKind(Name, Kind))
       return fail("unsupported arith op '" + Name + "'");
     I.Code = PlanOp::Binary;
     I.Sub = static_cast<uint8_t>(Kind);
@@ -401,8 +389,7 @@ LogicalResult ExecPlanBuilder::compileCall(Operation *Op,
 /// likewise for recv. Loop PC targets are remapped; a deleted wait is
 /// never a jump target (it always sits right after its start, which a
 /// LoopBegin/LoopEnd boundary would separate).
-void ExecPlan::fuseTransferPairs(std::vector<ExecPlan::Inst> &Program,
-                                 unsigned &FusedSends, unsigned &FusedRecvs) {
+void ExecPlan::fuseTransferPairs(std::vector<ExecPlan::Inst> &Program) {
   std::vector<int32_t> NewIndex(Program.size() + 1, 0);
   std::vector<ExecPlan::Inst> Out;
   Out.reserve(Program.size());
@@ -417,7 +404,6 @@ void ExecPlan::fuseTransferPairs(std::vector<ExecPlan::Inst> &Program,
                     Program[Pc + 1].Code == Op::CallWaitRecv;
     if (FuseSend || FuseRecv) {
       I.Code = FuseSend ? Op::CallSendFused : Op::CallRecvFused;
-      (FuseSend ? FusedSends : FusedRecvs) += 1;
       Out.push_back(I);
       NewIndex[Pc + 1] = static_cast<int32_t>(Out.size());
       ++Pc; // the wait is absorbed
@@ -433,8 +419,7 @@ void ExecPlan::fuseTransferPairs(std::vector<ExecPlan::Inst> &Program,
 }
 
 std::unique_ptr<ExecPlan> ExecPlan::compile(func::FuncOp Func,
-                                            std::string &Error,
-                                            bool FuseTransferPairs) {
+                                            std::string &Error) {
   std::unique_ptr<ExecPlan> Plan(new ExecPlan());
   ExecPlanBuilder Builder(*Plan);
   Plan->FuncName = Func.getFuncName();
@@ -449,8 +434,7 @@ std::unique_ptr<ExecPlan> ExecPlan::compile(func::FuncOp Func,
                                   : Builder.Error;
     return nullptr;
   }
-  if (FuseTransferPairs)
-    fuseTransferPairs(Plan->Program, Plan->FusedSends, Plan->FusedRecvs);
+  fuseTransferPairs(Plan->Program);
   return Plan;
 }
 
@@ -459,24 +443,6 @@ std::unique_ptr<ExecPlan> ExecPlan::compile(func::FuncOp Func,
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// Binary-op mnemonic for Inst::Sub.
-const char *binName(uint8_t Sub) {
-  switch (Sub & 0x7) {
-  case 0:
-    return "add";
-  case 1:
-    return "mul";
-  case 2:
-    return "sub";
-  case 3:
-    return "div";
-  case 4:
-    return "max";
-  default:
-    return "bin?";
-  }
-}
 
 void printIndexList(std::ostream &OS, const std::vector<int32_t> &Pool,
                     int32_t Offset, uint32_t Count) {
@@ -514,7 +480,8 @@ void ExecPlan::print(std::ostream &OS) const {
       break;
     }
     case Op::Binary:
-      OS << '%' << I.Dst << " = " << binName(I.Sub)
+      OS << '%' << I.Dst << " = "
+         << sim::binKindName(static_cast<BinKind>(I.Sub & 0x7))
          << ((I.Sub & BinFloatResult) ? ".f %" : ".i %") << I.A << ", %"
          << I.B;
       break;
@@ -633,466 +600,4 @@ std::string ExecPlan::printToString() const {
   std::ostringstream OS;
   print(OS);
   return OS.str();
-}
-
-//===----------------------------------------------------------------------===//
-// Execution
-//===----------------------------------------------------------------------===//
-
-struct ExecPlan::ExecState {
-  sim::SoC &Soc;
-  runtime::DmaRuntime *Runtime;
-  std::vector<Cell> Cells;
-  std::vector<int64_t> Scratch; ///< Reused subview-offset buffer.
-  std::string Error;
-
-  ExecState(sim::SoC &Soc, runtime::DmaRuntime *Runtime)
-      : Soc(Soc), Runtime(Runtime) {}
-
-  LogicalResult fail(std::string Message) {
-    if (Error.empty())
-      Error = std::move(Message);
-    return failure();
-  }
-};
-
-namespace {
-
-/// Word -> dynamic value / dynamic value -> word, matching the walker's
-/// load/store conversions exactly. Templated so the anonymous namespace
-/// can name ExecPlan's private Cell type through deduction.
-template <typename CellT> inline void wordToCellImpl(uint32_t Word, bool IsF32, CellT &C) {
-  if (IsF32) {
-    C.Tag = CellT::Kind::Float;
-    C.F = static_cast<double>(sim::wordToFloat(Word));
-  } else {
-    C.Tag = CellT::Kind::Int;
-    C.I = static_cast<int32_t>(Word);
-  }
-}
-
-template <typename CellT> inline uint32_t cellToWordImpl(const CellT &C, bool IsF32) {
-  if (IsF32)
-    return sim::floatToWord(static_cast<float>(
-        C.Tag == CellT::Kind::Float ? C.F : static_cast<double>(C.I)));
-  return static_cast<uint32_t>(static_cast<int32_t>(
-      C.Tag == CellT::Kind::Float ? static_cast<int64_t>(C.F) : C.I));
-}
-
-} // namespace
-
-LogicalResult ExecPlan::runSpan(const std::vector<Inst> &Code,
-                                ExecState &S) const {
-  sim::HostPerfModel &Perf = S.Soc.perf();
-  for (size_t Pc = 0; Pc < Code.size(); ++Pc) {
-    const Inst &I = Code[Pc];
-    switch (I.Code) {
-    case Op::ConstInt: {
-      Cell &C = S.Cells[I.Dst];
-      C.Tag = Cell::Kind::Int;
-      C.I = I.Imm;
-      break;
-    }
-    case Op::ConstFloat: {
-      Cell &C = S.Cells[I.Dst];
-      C.Tag = Cell::Kind::Float;
-      C.F = I.FImm;
-      break;
-    }
-    case Op::Binary: {
-      const Cell &LHS = S.Cells[I.A];
-      const Cell &RHS = S.Cells[I.B];
-      Perf.onArith(1);
-      // The LHS tag selects the interpretation of both operands, exactly
-      // as in the legacy walker.
-      bool IsFloat = LHS.Tag == Cell::Kind::Float;
-      double A = IsFloat ? LHS.F : static_cast<double>(LHS.I);
-      double B = IsFloat ? RHS.F : static_cast<double>(RHS.I);
-      double R = 0;
-      switch (static_cast<BinKind>(I.Sub & 0x7)) {
-      case BinKind::Add:
-        R = A + B;
-        break;
-      case BinKind::Mul:
-        R = A * B;
-        break;
-      case BinKind::Sub:
-        R = A - B;
-        break;
-      case BinKind::Div:
-        R = A / B;
-        break;
-      case BinKind::Max:
-        R = A > B ? A : B;
-        break;
-      }
-      Cell &D = S.Cells[I.Dst];
-      if (I.Sub & BinFloatResult) {
-        D.Tag = Cell::Kind::Float;
-        D.F = R;
-      } else {
-        D.Tag = Cell::Kind::Int;
-        D.I = static_cast<int64_t>(R);
-      }
-      break;
-    }
-    case Op::IndexCast: {
-      S.Cells[I.Dst] = S.Cells[I.A];
-      break;
-    }
-    case Op::LoopBegin: {
-      int64_t LowerBound = S.Cells[I.A].I;
-      int64_t UpperBound = S.Cells[I.B].I;
-      int64_t Step = S.Cells[I.C].I;
-      if (Step <= 0)
-        return S.fail("scf.for requires a positive step");
-      if (LowerBound >= UpperBound) {
-        Pc = static_cast<size_t>(I.Aux) - 1; // continue after LoopEnd
-        break;
-      }
-      Perf.onLoopIteration();
-      Cell &Iv = S.Cells[I.Dst];
-      Iv.Tag = Cell::Kind::Int;
-      Iv.I = LowerBound;
-      break;
-    }
-    case Op::LoopEnd: {
-      Cell &Iv = S.Cells[I.Dst];
-      int64_t Next = Iv.I + S.Cells[I.C].I;
-      if (Next < S.Cells[I.B].I) {
-        Perf.onLoopIteration();
-        Iv.I = Next;
-        Pc = static_cast<size_t>(I.Aux) - 1; // jump to loop body
-      }
-      break;
-    }
-    case Op::Alloc: {
-      const AllocPlan &Info = Allocs[I.Aux];
-      Perf.onArith(10); // allocator call
-      Cell &C = S.Cells[I.Dst];
-      C.Tag = Cell::Kind::MemRef;
-      C.M = MemRefDesc::alloc(Info.Shape, Info.Kind);
-      break;
-    }
-    case Op::Dealloc: {
-      Perf.onArith(10);
-      break;
-    }
-    case Op::Load: {
-      const MemRefDesc &Desc = S.Cells[I.A].M;
-      const int32_t *IndexSlots = SlotPool.data() + I.Aux;
-      int64_t Linear = Desc.Offset;
-      for (unsigned K = 0; K < I.Sub; ++K) {
-        int64_t Index = S.Cells[IndexSlots[K]].I;
-        assert(Index >= 0 && Index < Desc.Sizes[K] &&
-               "memref index out of bounds");
-        Linear += Index * Desc.Strides[K];
-      }
-      Perf.onArith(I.Sub); // address computation
-      Perf.onScalarLoad(Desc.addressOf(Linear), 4);
-      uint32_t Word = Desc.Buffer->Data[static_cast<size_t>(Linear)];
-      wordToCellImpl(Word, Desc.kind() == sim::ElemKind::F32,
-                     S.Cells[I.Dst]);
-      break;
-    }
-    case Op::Store: {
-      const MemRefDesc &Desc = S.Cells[I.B].M;
-      const int32_t *IndexSlots = SlotPool.data() + I.Aux;
-      int64_t Linear = Desc.Offset;
-      for (unsigned K = 0; K < I.Sub; ++K) {
-        int64_t Index = S.Cells[IndexSlots[K]].I;
-        assert(Index >= 0 && Index < Desc.Sizes[K] &&
-               "memref index out of bounds");
-        Linear += Index * Desc.Strides[K];
-      }
-      Perf.onArith(I.Sub);
-      Perf.onScalarStore(Desc.addressOf(Linear), 4);
-      Desc.Buffer->Data[static_cast<size_t>(Linear)] = cellToWordImpl(
-          S.Cells[I.A], Desc.kind() == sim::ElemKind::F32);
-      break;
-    }
-    case Op::Copy: {
-      const MemRefDesc &Source = S.Cells[I.A].M;
-      const MemRefDesc &Dest = S.Cells[I.B].M;
-      if (Source.Sizes != Dest.Sizes)
-        return S.fail("memref.copy shape mismatch");
-      runtime::stridedCopy(
-          Perf, runtime::makeCopyRequest(Source, Dest,
-                                         Source.innermostContiguous() &&
-                                             Dest.innermostContiguous()));
-      break;
-    }
-    case Op::SubView: {
-      const SubViewPlan &Info = SubViews[I.Aux];
-      const MemRefDesc &Source = S.Cells[I.A].M;
-      S.Scratch.clear();
-      const int32_t *OffsetSlots = SlotPool.data() + Info.PoolOffset;
-      for (unsigned K = 0; K < Info.NumOffsets; ++K)
-        S.Scratch.push_back(S.Cells[OffsetSlots[K]].I);
-      Perf.onArith(2 * Source.rank()); // descriptor arithmetic
-      Cell &C = S.Cells[I.Dst];
-      C.Tag = Cell::Kind::MemRef;
-      C.M = Source.subview(S.Scratch, Info.StaticSizes);
-      break;
-    }
-    case Op::Generic: {
-      if (failed(runGeneric(Generics[I.Aux], S)))
-        return failure();
-      break;
-    }
-
-    //===----------------------------------------------------------------===//
-    // accel ops (each performs its own staged copy + transfer)
-    //===----------------------------------------------------------------===//
-    case Op::AccelDmaInit:
-    case Op::AccelSendLiteral:
-    case Op::AccelSend:
-    case Op::AccelSendDim:
-    case Op::AccelSendIdx:
-    case Op::AccelRecv: {
-      if (!S.Runtime)
-        return S.fail("accel op executed without a DMA runtime");
-      runtime::DmaRuntime &Rt = *S.Runtime;
-      if (I.Code == Op::AccelDmaInit) {
-        Rt.dmaInit(DmaConfigs[I.Aux]);
-        break;
-      }
-      if (I.Code == Op::AccelRecv) {
-        const MemRefDesc &Desc = S.Cells[I.A].M;
-        Rt.dmaStartRecv(Desc.numElements(), 0);
-        Rt.dmaWaitRecvCompletion();
-        Rt.copyFromDmaRegion(Desc, 0, I.Sub != 0);
-        Cell &C = S.Cells[I.Dst];
-        C.Tag = Cell::Kind::Int;
-        C.I = 0;
-        // Stop issuing work the moment a runtime call fails (recovery has
-        // already absorbed what it could).
-        if (Rt.status() != sim::AccelStatus::Ok)
-          return S.fail(Rt.statusErrorText());
-        break;
-      }
-      int64_t Offset = S.Cells[I.Code == Op::AccelSendLiteral ? I.A : I.B].I;
-      int64_t End = 0;
-      switch (I.Code) {
-      case Op::AccelSendLiteral:
-        End = Rt.copyLiteralToDmaRegion(static_cast<int32_t>(I.Imm), Offset);
-        break;
-      case Op::AccelSend:
-        End = Rt.copyToDmaRegion(S.Cells[I.A].M, Offset);
-        break;
-      case Op::AccelSendDim: {
-        const MemRefDesc &Desc = S.Cells[I.A].M;
-        if (!I.Sub && (I.Imm < 0 ||
-                       static_cast<size_t>(I.Imm) >= Desc.Sizes.size()))
-          return S.fail("accel.send_dim reads dimension " +
-                        std::to_string(I.Imm) + " of a rank-" +
-                        std::to_string(Desc.Sizes.size()) + " memref");
-        int64_t Size =
-            I.Sub ? I.Imm : Desc.Sizes[static_cast<size_t>(I.Imm)];
-        End = Rt.copyLiteralToDmaRegion(static_cast<int32_t>(Size), Offset);
-        break;
-      }
-      case Op::AccelSendIdx:
-        End = Rt.copyLiteralToDmaRegion(
-            static_cast<int32_t>(S.Cells[I.A].I), Offset);
-        break;
-      default:
-        break;
-      }
-      Rt.dmaStartSend(End - Offset, Offset);
-      Rt.dmaWaitSendCompletion();
-      Cell &C = S.Cells[I.Dst];
-      C.Tag = Cell::Kind::Int;
-      C.I = End;
-      if (Rt.status() != sim::AccelStatus::Ok)
-        return S.fail(Rt.statusErrorText());
-      break;
-    }
-
-    //===----------------------------------------------------------------===//
-    // axirt runtime calls (batched transfers; the fully lowered form)
-    //===----------------------------------------------------------------===//
-    case Op::CallDmaInit:
-    case Op::CallCopyToDma:
-    case Op::CallCopyLiteralToDma:
-    case Op::CallStartSend:
-    case Op::CallWaitSend:
-    case Op::CallStartRecv:
-    case Op::CallWaitRecv:
-    case Op::CallCopyFromDma:
-    case Op::CallSendFused:
-    case Op::CallRecvFused: {
-      if (!S.Runtime)
-        return S.fail("runtime call executed without a DMA runtime");
-      runtime::DmaRuntime &Rt = *S.Runtime;
-      switch (I.Code) {
-      case Op::CallDmaInit:
-        Rt.dmaInit(DmaConfigs[I.Aux]);
-        break;
-      case Op::CallCopyToDma: {
-        int64_t End = Rt.copyToDmaRegion(S.Cells[I.A].M, S.Cells[I.B].I);
-        Cell &C = S.Cells[I.Dst];
-        C.Tag = Cell::Kind::Int;
-        C.I = End;
-        break;
-      }
-      case Op::CallCopyLiteralToDma: {
-        int64_t End = Rt.copyLiteralToDmaRegion(
-            static_cast<int32_t>(S.Cells[I.A].I), S.Cells[I.B].I);
-        Cell &C = S.Cells[I.Dst];
-        C.Tag = Cell::Kind::Int;
-        C.I = End;
-        break;
-      }
-      case Op::CallStartSend:
-        Rt.dmaStartSend(S.Cells[I.A].I - S.Cells[I.B].I, S.Cells[I.B].I);
-        break;
-      case Op::CallWaitSend:
-        Rt.dmaWaitSendCompletion();
-        break;
-      case Op::CallStartRecv:
-        Rt.dmaStartRecv(S.Cells[I.A].I, S.Cells[I.B].I);
-        break;
-      case Op::CallWaitRecv:
-        Rt.dmaWaitRecvCompletion();
-        break;
-      case Op::CallSendFused:
-        // One dispatch for the blocking start+wait pair; the runtime calls
-        // (and thus every perf charge) are unchanged and in order.
-        Rt.dmaStartSend(S.Cells[I.A].I - S.Cells[I.B].I, S.Cells[I.B].I);
-        Rt.dmaWaitSendCompletion();
-        break;
-      case Op::CallRecvFused:
-        Rt.dmaStartRecv(S.Cells[I.A].I, S.Cells[I.B].I);
-        Rt.dmaWaitRecvCompletion();
-        break;
-      case Op::CallCopyFromDma:
-        Rt.copyFromDmaRegion(S.Cells[I.A].M, S.Cells[I.B].I, I.Sub != 0);
-        break;
-      default:
-        break;
-      }
-      if (Rt.status() != sim::AccelStatus::Ok)
-        return S.fail(Rt.statusErrorText());
-      break;
-    }
-    }
-  }
-  return success();
-}
-
-LogicalResult ExecPlan::runGeneric(const GenericPlan &G, ExecState &S) const {
-  sim::HostPerfModel &Perf = S.Soc.perf();
-  const unsigned NumLoops = static_cast<unsigned>(G.Ranges.size());
-  const unsigned NumOperands = static_cast<unsigned>(G.Operands.size());
-
-  // Resolve descriptors once per generic execution; for projected
-  // permutations fold the map into per-loop-dim stride contributions so
-  // each point's linear index is a plain dot product.
-  struct Resolved {
-    const MemRefDesc *Desc;
-    bool IsF32;
-    bool Projected;
-    int64_t DimStride[runtime::detail::MaxCopyRank];
-  };
-  assert(NumLoops <= runtime::detail::MaxCopyRank &&
-         "loop nest beyond plan odometer cap");
-  std::vector<Resolved> Ops(NumOperands);
-  for (unsigned K = 0; K < NumOperands; ++K) {
-    const OperandPlan &P = G.Operands[K];
-    Resolved &R = Ops[K];
-    R.Desc = &S.Cells[P.Slot].M;
-    R.IsF32 = R.Desc->kind() == sim::ElemKind::F32;
-    R.Projected = P.Projected;
-    if (P.Projected) {
-      for (unsigned D = 0; D < NumLoops; ++D)
-        R.DimStride[D] = 0;
-      for (unsigned Idx = 0; Idx < P.DimPos.size(); ++Idx)
-        R.DimStride[P.DimPos[Idx]] += R.Desc->Strides[Idx];
-    }
-  }
-
-  auto linearAt = [&](unsigned K,
-                      const std::vector<int64_t> &Point) -> int64_t {
-    const Resolved &R = Ops[K];
-    int64_t Linear = R.Desc->Offset;
-    if (R.Projected) {
-      for (unsigned D = 0; D < NumLoops; ++D)
-        Linear += Point[D] * R.DimStride[D];
-      return Linear;
-    }
-    const OperandPlan &P = G.Operands[K];
-    for (unsigned Idx = 0; Idx < P.Exprs.size(); ++Idx) {
-      int64_t Index = P.Exprs[Idx].eval(Point);
-      assert(Index >= 0 && Index < R.Desc->Sizes[Idx] &&
-             "memref index out of bounds");
-      Linear += Index * R.Desc->Strides[Idx];
-    }
-    return Linear;
-  };
-
-  // Odometer over the iteration space; models the compiled loop nest.
-  std::vector<int64_t> Point(NumLoops, 0);
-  bool Done = product(G.Ranges) == 0;
-  while (!Done) {
-    Perf.onLoopIteration();
-    Perf.onArith(3); // indexing arithmetic per point
-
-    // Bind payload arguments: input elements then current output elements.
-    for (unsigned K = 0; K < NumOperands; ++K) {
-      int64_t Linear = linearAt(K, Point);
-      Perf.onScalarLoad(Ops[K].Desc->addressOf(Linear), 4);
-      uint32_t Word =
-          Ops[K].Desc->Buffer->Data[static_cast<size_t>(Linear)];
-      wordToCellImpl(Word, Ops[K].IsF32, S.Cells[G.BodyArgSlots[K]]);
-    }
-
-    // Run the pre-compiled payload, then store the yielded values.
-    if (!G.Body.empty() && failed(runSpan(G.Body, S)))
-      return failure();
-    for (unsigned O = 0; O < G.YieldSlots.size(); ++O) {
-      unsigned OperandIdx = G.NumInputs + O;
-      int64_t Linear = linearAt(OperandIdx, Point);
-      Perf.onScalarStore(Ops[OperandIdx].Desc->addressOf(Linear), 4);
-      Ops[OperandIdx].Desc->Buffer->Data[static_cast<size_t>(Linear)] =
-          cellToWordImpl(S.Cells[G.YieldSlots[O]], Ops[OperandIdx].IsF32);
-    }
-
-    // Advance the odometer (innermost dimension fastest).
-    Done = true;
-    for (int D = static_cast<int>(NumLoops) - 1; D >= 0; --D) {
-      if (++Point[D] < G.Ranges[D]) {
-        Done = false;
-        break;
-      }
-      Point[D] = 0;
-    }
-  }
-  return success();
-}
-
-LogicalResult ExecPlan::run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-                            const std::vector<MemRefDesc> &Arguments,
-                            std::string &Error) const {
-  if (Arguments.size() != NumArgs) {
-    Error = "argument count mismatch calling '" + FuncName + "'";
-    return failure();
-  }
-  ExecState S(Soc, Runtime);
-  S.Cells.resize(NumSlots);
-  for (unsigned Idx = 0; Idx < NumArgs; ++Idx) {
-    S.Cells[Idx].Tag = Cell::Kind::MemRef;
-    S.Cells[Idx].M = Arguments[Idx];
-  }
-  if (failed(runSpan(Program, S))) {
-    Error = S.Error.empty() ? "interpreter failure" : S.Error;
-    return failure();
-  }
-  // Belt-and-braces end-of-run check (the per-call status checks stop the
-  // run early; this catches anything signalled outside a runtime call).
-  if (Runtime && Runtime->status() != sim::AccelStatus::Ok) {
-    Error = Runtime->statusErrorText();
-    return failure();
-  }
-  return success();
 }

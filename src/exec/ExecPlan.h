@@ -12,7 +12,7 @@
 ///
 ///   * enum opcodes instead of `Name ==` string chains,
 ///   * dense SSA value slots numbered at plan time (a flat Cell array at
-///     execution time) instead of `std::map<ValueImpl*, RuntimeValue>`,
+///     execution time) instead of the walker's `std::map` environment,
 ///   * operand/index slot lists pre-resolved into a shared pool, so
 ///     memref.load/store stop allocating a std::vector per element,
 ///   * scf.for flattened into LoopBegin/LoopEnd instructions over a
@@ -23,12 +23,13 @@
 ///     permutations) or affine-expression evaluations (no vectors
 ///     allocated per point) and the payload pre-compiled.
 ///
-/// The modeled perf counters (HostPerfModel) charged during execution are
-/// bit-identical to the legacy walker's: the same events fire in the same
-/// order with the same addresses. ExecPlanTest asserts this across all
-/// three abstraction levels. A plan owns copies of everything it needs
-/// (shapes, configs, affine maps), so it stays valid after the IR is
-/// mutated or destroyed.
+/// A plan executes by pre-decoding into a DecodedPlan (ExecPlanRun.h),
+/// which charges exactly the HostPerfModel events the tree walker charges
+/// for the same function: same events, same order, same addresses.
+/// ExecPlanTest and the differential fuzzers assert this against the
+/// walker on all three abstraction levels. A plan owns copies of
+/// everything it needs (shapes, configs, affine maps), so it stays valid
+/// after the IR is mutated or destroyed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,7 @@
 #include "ir/AccelTraits.h"
 #include "ir/AffineExpr.h"
 #include "runtime/DmaRuntime.h"
+#include "sim/Semantics.h"
 #include "support/LogicalResult.h"
 
 #include <iosfwd>
@@ -60,35 +62,74 @@ namespace opt {
 class PlanOptimizer;
 } // namespace opt
 
+/// A dynamic value slot of either executor: an index/integer, a float or
+/// a memref.
+struct Cell {
+  enum class Kind : uint8_t { Int, Float, MemRef } Tag = Kind::Int;
+  int64_t I = 0;
+  double F = 0;
+  runtime::MemRefDesc M;
+
+  bool isFloat() const { return Tag == Kind::Float; }
+  void setInt(int64_t Value) {
+    Tag = Kind::Int;
+    I = Value;
+  }
+  void setFloat(double Value) {
+    Tag = Kind::Float;
+    F = Value;
+  }
+  void setMemRef(runtime::MemRefDesc Desc) {
+    Tag = Kind::MemRef;
+    M = std::move(Desc);
+  }
+  /// Binds an element word of kind \p Elem.
+  void setWord(uint32_t Word, sim::ElemKind Elem) {
+    if (Elem == sim::ElemKind::F32)
+      setFloat(sim::wordToValue<sim::ElemKind::F32>(Word));
+    else
+      setInt(sim::wordToInt(Word));
+  }
+  /// The word this cell stores into an element of kind \p Elem.
+  uint32_t toWord(sim::ElemKind Elem) const {
+    if (isFloat())
+      return sim::valueToWord(F, Elem);
+    return Elem == sim::ElemKind::F32
+               ? sim::valueToWord<sim::ElemKind::F32>(static_cast<double>(I))
+               : sim::intToWord(I);
+  }
+  /// `*this = LHS <Kind> RHS`: the LHS tag selects the float or integer
+  /// view of both operands; \p FloatResult types the result.
+  void setBinary(sim::BinKind Kind, bool FloatResult, const Cell &LHS,
+                 const Cell &RHS) {
+    bool IsFloat = LHS.isFloat();
+    double R = sim::applyBinary(
+        Kind, IsFloat ? LHS.F : static_cast<double>(LHS.I),
+        IsFloat ? RHS.F : static_cast<double>(RHS.I));
+    if (FloatResult)
+      setFloat(R);
+    else
+      setInt(sim::toInt(R));
+  }
+};
+
 /// One function compiled to a flat instruction program.
 class ExecPlan {
 public:
   /// Compiles \p Func. Returns nullptr and sets \p Error on unsupported
-  /// IR (same diagnostics the walker would produce). With
-  /// \p FuseTransferPairs (the default), adjacent axirt
+  /// IR (same diagnostics the walker would produce). Adjacent axirt
   /// start_send+wait_send / start_recv+wait_recv instruction pairs — the
   /// shape convert-accel-to-runtime always emits for the blocking driver —
   /// are fused into single opcodes, halving dispatch on the DMA-heavy
-  /// sequences. Fusion charges the exact same perf events in the same
-  /// order; the toggle exists for the fused-vs-unfused micro-benchmarks.
+  /// sequences; fusion charges the exact same perf events in the same
+  /// order.
   static std::unique_ptr<ExecPlan> compile(func::FuncOp Func,
-                                           std::string &Error,
-                                           bool FuseTransferPairs = true);
-
-  /// Executes the plan against \p Soc, binding \p Arguments to the
-  /// function's memref parameters. \p Runtime may be null for CPU-only
-  /// functions. Reusable: call once per input set.
-  LogicalResult run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-                    const std::vector<runtime::MemRefDesc> &Arguments,
-                    std::string &Error) const;
+                                           std::string &Error);
 
   size_t numInstructions() const { return Program.size(); }
   unsigned numSlots() const { return NumSlots; }
   unsigned numArguments() const { return NumArgs; }
   const std::string &funcName() const { return FuncName; }
-  /// Number of start+wait pairs fused at compile time.
-  unsigned numFusedSends() const { return FusedSends; }
-  unsigned numFusedRecvs() const { return FusedRecvs; }
 
   /// Prints a stable textual disassembly of the program (one instruction
   /// per line, slots as %N, loop targets as @PC). Golden tests pin this
@@ -146,7 +187,7 @@ private:
   };
 
   /// Binary-op kinds packed into Inst::Sub (bit 3 = float result type).
-  enum class BinKind : uint8_t { Add = 0, Mul, Sub, Div, Max };
+  using BinKind = sim::BinKind;
   static constexpr uint8_t BinFloatResult = 1 << 3;
 
   /// One pre-resolved instruction. Slot fields index the Cell array; Aux
@@ -161,14 +202,6 @@ private:
     int32_t Aux = -1;
     int64_t Imm = 0;
     double FImm = 0;
-  };
-
-  /// A dynamic value slot (the former RuntimeValue).
-  struct Cell {
-    enum class Kind : uint8_t { Int, Float, MemRef } Tag = Kind::Int;
-    int64_t I = 0;
-    double F = 0;
-    runtime::MemRefDesc M;
   };
 
   struct AllocPlan {
@@ -202,18 +235,11 @@ private:
     std::vector<int32_t> YieldSlots;
   };
 
-  struct ExecState;
-
-  static void fuseTransferPairs(std::vector<Inst> &Program,
-                                unsigned &FusedSends, unsigned &FusedRecvs);
-  LogicalResult runSpan(const std::vector<Inst> &Code, ExecState &S) const;
-  LogicalResult runGeneric(const GenericPlan &G, ExecState &S) const;
+  static void fuseTransferPairs(std::vector<Inst> &Program);
 
   std::string FuncName;
   unsigned NumArgs = 0;
   unsigned NumSlots = 0;
-  unsigned FusedSends = 0;
-  unsigned FusedRecvs = 0;
   std::vector<Inst> Program;
   std::vector<int32_t> SlotPool;
   std::vector<AllocPlan> Allocs;

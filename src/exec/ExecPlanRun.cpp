@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Decode stage + token-threaded dispatch loop + specialized odometer
-// micro-kernels. The contract with ExecPlan::run is exact: identical
-// buffers, identical diagnostics, and an identical sequence of
-// HostPerfModel charges (same events, same order, same addresses), so
-// every modeled counter is bit-identical. PlanEquivalenceFuzzTest pins
-// this differentially for every fuzz case.
+// micro-kernels. The contract with the tree walker (Interpreter) is
+// exact: identical buffers, identical diagnostics, and an identical
+// sequence of HostPerfModel charges (same events, same order, same
+// addresses), so every modeled counter is bit-identical.
+// PlanEquivalenceFuzzTest pins this differentially for every fuzz case.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,59 +48,22 @@ LogicalResult parseExecMode(const std::string &Text, ExecMode &Mode,
     Mode = ExecMode::Walker;
     return success();
   }
-  if (Text == "plan") {
-    Mode = ExecMode::Plan;
-    return success();
-  }
   if (Text == "threaded") {
     Mode = ExecMode::Threaded;
     return success();
   }
-  Error = "unknown exec mode '" + Text + "' (expected walker|plan|threaded)";
+  Error = "unknown exec mode '" + Text + "' (expected walker|threaded)";
   return failure();
-}
-
-const char *toString(ExecMode Mode) {
-  switch (Mode) {
-  case ExecMode::Walker:
-    return "walker";
-  case ExecMode::Plan:
-    return "plan";
-  case ExecMode::Threaded:
-    return "threaded";
-  }
-  return "?";
 }
 
 } // namespace exec
 } // namespace axi4mlir
 
 //===----------------------------------------------------------------------===//
-// Word <-> dynamic value conversions (same trick as ExecPlan.cpp: templated
-// so this file can name ExecPlan's private Cell type through deduction).
+// Indexing-map linearization
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-template <typename CellT>
-inline void wordToCellImpl(uint32_t Word, bool IsF32, CellT &C) {
-  if (IsF32) {
-    C.Tag = CellT::Kind::Float;
-    C.F = static_cast<double>(sim::wordToFloat(Word));
-  } else {
-    C.Tag = CellT::Kind::Int;
-    C.I = static_cast<int32_t>(Word);
-  }
-}
-
-template <typename CellT>
-inline uint32_t cellToWordImpl(const CellT &C, bool IsF32) {
-  if (IsF32)
-    return sim::floatToWord(static_cast<float>(
-        C.Tag == CellT::Kind::Float ? C.F : static_cast<double>(C.I)));
-  return static_cast<uint32_t>(static_cast<int32_t>(
-      C.Tag == CellT::Kind::Float ? static_cast<int64_t>(C.F) : C.I));
-}
 
 /// Decomposes \p Expr into Const + sum_d Coef[d]*d over the loop dims.
 /// Returns false (kernel specialization illegal, generic odometer stays)
@@ -163,7 +126,6 @@ namespace exec {
 
 struct DecodedProgram {
   using Inst = ExecPlan::Inst;
-  using Cell = ExecPlan::Cell;
   using AllocPlan = ExecPlan::AllocPlan;
   using SubViewPlan = ExecPlan::SubViewPlan;
   using GenericPlan = ExecPlan::GenericPlan;
@@ -585,54 +547,20 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
 #endif
 
   OP(ConstInt) : {
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = Ip->Imm;
+    Cells[Ip->Dst].setInt(Ip->Imm);
     ++Ip;
     DISPATCH();
   }
   OP(ConstFloat) : {
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Float;
-    C.F = Ip->FImm;
+    Cells[Ip->Dst].setFloat(Ip->FImm);
     ++Ip;
     DISPATCH();
   }
   OP(Binary) : {
-    const Cell &LHS = Cells[Ip->A];
-    const Cell &RHS = Cells[Ip->B];
     Perf.onArith(1);
-    // The LHS tag selects the interpretation of both operands, exactly
-    // as in the walker and the plan interpreter.
-    bool IsFloat = LHS.Tag == Cell::Kind::Float;
-    double A = IsFloat ? LHS.F : static_cast<double>(LHS.I);
-    double B = IsFloat ? RHS.F : static_cast<double>(RHS.I);
-    double R = 0;
-    switch (static_cast<BinKind>(Ip->Sub & 0x7)) {
-    case BinKind::Add:
-      R = A + B;
-      break;
-    case BinKind::Mul:
-      R = A * B;
-      break;
-    case BinKind::Sub:
-      R = A - B;
-      break;
-    case BinKind::Div:
-      R = A / B;
-      break;
-    case BinKind::Max:
-      R = A > B ? A : B;
-      break;
-    }
-    Cell &D = Cells[Ip->Dst];
-    if (Ip->Sub & ExecPlan::BinFloatResult) {
-      D.Tag = Cell::Kind::Float;
-      D.F = R;
-    } else {
-      D.Tag = Cell::Kind::Int;
-      D.I = static_cast<int64_t>(R);
-    }
+    Cells[Ip->Dst].setBinary(static_cast<BinKind>(Ip->Sub & 0x7),
+                             (Ip->Sub & ExecPlan::BinFloatResult) != 0,
+                             Cells[Ip->A], Cells[Ip->B]);
     ++Ip;
     DISPATCH();
   }
@@ -652,18 +580,14 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       DISPATCH();
     }
     Perf.onLoopIteration();
-    Cell &Iv = Cells[Ip->Dst];
-    Iv.Tag = Cell::Kind::Int;
-    Iv.I = LowerBound;
+    Cells[Ip->Dst].setInt(LowerBound);
     ++Ip;
     DISPATCH();
   }
   OP(LoopEnd) : {
-    Cell &Iv = Cells[Ip->Dst];
-    int64_t Next = Iv.I + Cells[Ip->C].I;
-    if (Next < Cells[Ip->B].I) {
+    if (sim::nextInductionVar(Cells[Ip->Dst].I, Cells[Ip->C].I,
+                              Cells[Ip->B].I)) {
       Perf.onLoopIteration();
-      Iv.I = Next;
       Ip = Base + Ip->Aux; // back to the loop body
       DISPATCH();
     }
@@ -673,9 +597,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
   OP(Alloc) : {
     const AllocPlan &Info = *static_cast<const AllocPlan *>(Ip->Side);
     Perf.onArith(10); // allocator call
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::MemRef;
-    C.M = MemRefDesc::alloc(Info.Shape, Info.Kind);
+    Cells[Ip->Dst].setMemRef(MemRefDesc::alloc(Info.Shape, Info.Kind));
     ++Ip;
     DISPATCH();
   }
@@ -696,8 +618,8 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     }
     Perf.onArith(Ip->Sub); // address computation
     Perf.onScalarLoad(Desc.addressOf(Linear), 4);
-    uint32_t Word = Desc.Buffer->Data[static_cast<size_t>(Linear)];
-    wordToCellImpl(Word, Desc.kind() == sim::ElemKind::F32, Cells[Ip->Dst]);
+    Cells[Ip->Dst].setWord(Desc.Buffer->Data[static_cast<size_t>(Linear)],
+                           Desc.kind());
     ++Ip;
     DISPATCH();
   }
@@ -714,7 +636,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     Perf.onArith(Ip->Sub);
     Perf.onScalarStore(Desc.addressOf(Linear), 4);
     Desc.Buffer->Data[static_cast<size_t>(Linear)] =
-        cellToWordImpl(Cells[Ip->A], Desc.kind() == sim::ElemKind::F32);
+        Cells[Ip->A].toWord(Desc.kind());
     ++Ip;
     DISPATCH();
   }
@@ -738,9 +660,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     for (unsigned K = 0; K < Info.NumOffsets; ++K)
       S.Scratch.push_back(Cells[OffsetSlots[K]].I);
     Perf.onArith(2 * Source.rank()); // descriptor arithmetic
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::MemRef;
-    C.M = Source.subview(S.Scratch, Info.StaticSizes);
+    Cells[Ip->Dst].setMemRef(Source.subview(S.Scratch, Info.StaticSizes));
     ++Ip;
     DISPATCH();
   }
@@ -772,9 +692,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     Rt.dmaStartSend(End - Offset, Offset);
     Rt.dmaWaitSendCompletion();
     RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
+    Cells[Ip->Dst].setInt(End);
     ++Ip;
     DISPATCH();
   }
@@ -787,9 +705,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     Rt.dmaStartSend(End - Offset, Offset);
     Rt.dmaWaitSendCompletion();
     RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
+    Cells[Ip->Dst].setInt(End);
     ++Ip;
     DISPATCH();
   }
@@ -806,9 +722,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     Rt.dmaStartSend(End - Offset, Offset);
     Rt.dmaWaitSendCompletion();
     RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
+    Cells[Ip->Dst].setInt(End);
     ++Ip;
     DISPATCH();
   }
@@ -822,9 +736,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     Rt.dmaStartSend(End - Offset, Offset);
     Rt.dmaWaitSendCompletion();
     RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
+    Cells[Ip->Dst].setInt(End);
     ++Ip;
     DISPATCH();
   }
@@ -837,9 +749,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     Rt.dmaWaitRecvCompletion();
     Rt.copyFromDmaRegion(Desc, 0, Ip->Sub != 0);
     RT_STATUS_CHECK(Rt);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = 0;
+    Cells[Ip->Dst].setInt(0);
     ++Ip;
     DISPATCH();
   }
@@ -860,9 +770,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     int64_t End =
         S.Runtime->copyToDmaRegion(Cells[Ip->A].M, Cells[Ip->B].I);
     RT_STATUS_CHECK(*S.Runtime);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
+    Cells[Ip->Dst].setInt(End);
     ++Ip;
     DISPATCH();
   }
@@ -872,9 +780,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     int64_t End = S.Runtime->copyLiteralToDmaRegion(
         static_cast<int32_t>(Cells[Ip->A].I), Cells[Ip->B].I);
     RT_STATUS_CHECK(*S.Runtime);
-    Cell &C = Cells[Ip->Dst];
-    C.Tag = Cell::Kind::Int;
-    C.I = End;
+    Cells[Ip->Dst].setInt(End);
     ++Ip;
     DISPATCH();
   }
@@ -1001,8 +907,8 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
 #undef RT_STATUS_CHECK
 
 //===----------------------------------------------------------------------===//
-// Generic odometer fallback (mirrors ExecPlan::runGeneric instruction for
-// instruction; the body span runs through the threaded dispatcher)
+// Generic odometer fallback (the walker's linalg.generic loop nest; the
+// body span runs through the threaded dispatcher)
 //===----------------------------------------------------------------------===//
 
 LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
@@ -1014,7 +920,7 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
 
   struct Resolved {
     const MemRefDesc *Desc;
-    bool IsF32;
+    sim::ElemKind Kind;
     bool Projected;
     int64_t DimStride[runtime::detail::MaxCopyRank];
   };
@@ -1025,7 +931,7 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
     const OperandPlan &P = G.Operands[K];
     Resolved &R = Ops[K];
     R.Desc = &S.Cells[P.Slot].M;
-    R.IsF32 = R.Desc->kind() == sim::ElemKind::F32;
+    R.Kind = R.Desc->kind();
     R.Projected = P.Projected;
     if (P.Projected) {
       for (unsigned D = 0; D < NumLoops; ++D)
@@ -1063,8 +969,8 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
     for (unsigned K = 0; K < NumOperands; ++K) {
       int64_t Linear = LinearAt(K, Point);
       Perf.onScalarLoad(Ops[K].Desc->addressOf(Linear), 4);
-      uint32_t Word = Ops[K].Desc->Buffer->Data[static_cast<size_t>(Linear)];
-      wordToCellImpl(Word, Ops[K].IsF32, S.Cells[G.BodyArgSlots[K]]);
+      S.Cells[G.BodyArgSlots[K]].setWord(
+          Ops[K].Desc->Buffer->Data[static_cast<size_t>(Linear)], Ops[K].Kind);
     }
 
     if (!G.Body.empty() && failed(exec(DG.BodyCode.data(), S)))
@@ -1074,7 +980,7 @@ LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
       int64_t Linear = LinearAt(OperandIdx, Point);
       Perf.onScalarStore(Ops[OperandIdx].Desc->addressOf(Linear), 4);
       Ops[OperandIdx].Desc->Buffer->Data[static_cast<size_t>(Linear)] =
-          cellToWordImpl(S.Cells[G.YieldSlots[O]], Ops[OperandIdx].IsF32);
+          S.Cells[G.YieldSlots[O]].toWord(Ops[OperandIdx].Kind);
     }
 
     Done = true;
@@ -1122,12 +1028,9 @@ struct KernelOperand {
   int64_t DimStride[runtime::detail::MaxCopyRank];
 };
 
-/// Loads one word the way the generic odometer does, as a double.
-template <bool IsF32> inline double wordValue(uint32_t Word) {
-  if (IsF32)
-    return static_cast<double>(sim::wordToFloat(Word));
-  return static_cast<double>(static_cast<int32_t>(Word));
-}
+template <bool IsF32>
+constexpr sim::ElemKind KindOf = IsF32 ? sim::ElemKind::F32
+                                       : sim::ElemKind::I32;
 
 } // namespace
 
@@ -1184,6 +1087,7 @@ template <bool IsF32>
 void DecodedProgram::mulAddKernel(const DecodedGeneric &DG,
                                   RunState &S) const {
   AXI4MLIR_KERNEL_PROLOGUE(3, 3)
+  constexpr sim::ElemKind Elem = KindOf<IsF32>;
   const int64_t S0 = Kop[0].DimStride[Inner];
   const int64_t S1 = Kop[1].DimStride[Inner];
   const int64_t S2 = Kop[2].DimStride[Inner];
@@ -1201,32 +1105,23 @@ void DecodedProgram::mulAddKernel(const DecodedGeneric &DG,
       Perf.onArith(3);
       double V[3];
       Perf.onScalarLoad(reinterpret_cast<uint64_t>(B0 + L0), 4);
-      V[0] = wordValue<IsF32>(B0[L0]);
+      V[0] = sim::wordToValue<Elem>(B0[L0]);
       Perf.onScalarLoad(reinterpret_cast<uint64_t>(B1 + L1), 4);
-      V[1] = wordValue<IsF32>(B1[L1]);
+      V[1] = sim::wordToValue<Elem>(B1[L1]);
       Perf.onScalarLoad(reinterpret_cast<uint64_t>(B2 + L2), 4);
-      V[2] = wordValue<IsF32>(B2[L2]);
+      V[2] = sim::wordToValue<Elem>(B2[L2]);
       Perf.onArith(1); // mul
       Perf.onArith(1); // add
-      uint32_t OutWord;
-      if (IsF32) {
-        // Matches the Binary handler's double arithmetic on f32 cells:
-        // the product stays an unrounded double through the add.
-        double T = V[MA] * V[MB];
-        double Y = TL ? T + V[AO] : V[AO] + T;
-        OutWord = sim::floatToWord(static_cast<float>(Y));
-      } else {
-        // i32 path: the product is truncated through int64 (and the sum
-        // computed on doubles of those), exactly as the interpreter's
-        // Cell arithmetic does.
-        int64_t T = static_cast<int64_t>(V[MA] * V[MB]);
-        double A = TL ? static_cast<double>(T) : V[AO];
-        double B = TL ? V[AO] : static_cast<double>(T);
-        int64_t Y = static_cast<int64_t>(A + B);
-        OutWord = static_cast<uint32_t>(static_cast<int32_t>(Y));
-      }
+      // The Binary handler's cell arithmetic: an f32 product stays an
+      // unrounded double through the add; an i32 product is an integer
+      // cell, truncated before the add.
+      double T = sim::applyBinary(BinKind::Mul, V[MA], V[MB]);
+      if (!IsF32)
+        T = static_cast<double>(sim::toInt(T));
+      double Y = TL ? sim::applyBinary(BinKind::Add, T, V[AO])
+                    : sim::applyBinary(BinKind::Add, V[AO], T);
       Perf.onScalarStore(reinterpret_cast<uint64_t>(B2 + L2), 4);
-      B2[L2] = OutWord;
+      B2[L2] = sim::valueToWord<Elem>(Y);
       L0 += S0;
       L1 += S1;
       L2 += S2;
@@ -1251,12 +1146,11 @@ void DecodedProgram::copyKernel(const DecodedGeneric &DG, RunState &S) const {
       // The odometer loads the current output element too (its value is
       // discarded, but the cache sees the access).
       Perf.onScalarLoad(reinterpret_cast<uint64_t>(B1 + L1), 4);
-      uint32_t OutWord;
-      if (IsF32)
-        OutWord = sim::floatToWord(static_cast<float>(
-            static_cast<double>(sim::wordToFloat(Word))));
-      else
-        OutWord = static_cast<uint32_t>(static_cast<int32_t>(Word));
+      // The yielded body argument round-trips through its cell.
+      constexpr sim::ElemKind Elem = KindOf<IsF32>;
+      uint32_t OutWord =
+          IsF32 ? sim::valueToWord<Elem>(sim::wordToValue<Elem>(Word))
+                : sim::intToWord(sim::wordToInt(Word));
       Perf.onScalarStore(reinterpret_cast<uint64_t>(B1 + L1), 4);
       B1[L1] = OutWord;
       L0 += S0;
@@ -1285,36 +1179,13 @@ void DecodedProgram::eltwiseKernel(const DecodedGeneric &DG,
       double V[4] = {0, 0, 0, 0};
       for (unsigned K = 0; K < NOps; ++K) {
         Perf.onScalarLoad(reinterpret_cast<uint64_t>(Kop[K].Buf + L[K]), 4);
-        V[K] = wordValue<IsF32>(Kop[K].Buf[L[K]]);
+        V[K] = sim::wordToValue<KindOf<IsF32>>(Kop[K].Buf[L[K]]);
       }
       Perf.onArith(1);
-      double A = V[EA], B = V[EB], R = 0;
-      switch (Kind) {
-      case BinKind::Add:
-        R = A + B;
-        break;
-      case BinKind::Mul:
-        R = A * B;
-        break;
-      case BinKind::Sub:
-        R = A - B;
-        break;
-      case BinKind::Div:
-        R = A / B;
-        break;
-      case BinKind::Max:
-        R = A > B ? A : B;
-        break;
-      }
-      uint32_t OutWord;
-      if (IsF32)
-        OutWord = sim::floatToWord(static_cast<float>(R));
-      else
-        OutWord = static_cast<uint32_t>(
-            static_cast<int32_t>(static_cast<int64_t>(R)));
+      double R = sim::applyBinary(Kind, V[EA], V[EB]);
       Perf.onScalarStore(reinterpret_cast<uint64_t>(Kop[Out].Buf + L[Out]),
                          4);
-      Kop[Out].Buf[L[Out]] = OutWord;
+      Kop[Out].Buf[L[Out]] = sim::valueToWord<KindOf<IsF32>>(R);
       for (unsigned K = 0; K < NOps; ++K)
         L[K] += Kop[K].DimStride[Inner];
     }
@@ -1338,10 +1209,8 @@ LogicalResult DecodedProgram::run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
   }
   RunState S(Soc, Runtime);
   S.Cells.resize(NumSlots);
-  for (unsigned Idx = 0; Idx < NumArgs; ++Idx) {
-    S.Cells[Idx].Tag = Cell::Kind::MemRef;
-    S.Cells[Idx].M = Arguments[Idx];
-  }
+  for (unsigned Idx = 0; Idx < NumArgs; ++Idx)
+    S.Cells[Idx].setMemRef(Arguments[Idx]);
   if (failed(exec(Code.data(), S))) {
     Error = S.Error.empty() ? "interpreter failure" : S.Error;
     return failure();
@@ -1362,20 +1231,7 @@ LogicalResult DecodedProgram::run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
 namespace {
 
 const char *binName(uint8_t Sub) {
-  switch (Sub & 0x7) {
-  case 0:
-    return "add";
-  case 1:
-    return "mul";
-  case 2:
-    return "sub";
-  case 3:
-    return "div";
-  case 4:
-    return "max";
-  default:
-    return "bin?";
-  }
+  return sim::binKindName(static_cast<sim::BinKind>(Sub & 0x7));
 }
 
 void printIndexList(std::ostream &OS, const int32_t *Pool, uint32_t Count) {

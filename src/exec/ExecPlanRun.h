@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The second execution engine for compiled ExecPlans: a pre-decode stage
-/// rewrites the plan's instruction vector once per plan-cache entry into a
+/// The production execution engine for compiled ExecPlans: a pre-decode
+/// stage rewrites the plan's instruction vector once per plan into a
 /// dispatch-ready program (dense jump-table opcodes, side-table indices and
 /// slot-pool offsets resolved to raw pointers, specialized micro-kernels
 /// bound per linalg.generic), which a token-threaded dispatch loop then
@@ -21,8 +21,8 @@
 ///   * single elementwise binary epilogues,
 ///   * staging copies (empty body yielding the input element).
 /// Everything else falls back to the generic odometer. All kernels charge
-/// HostPerfModel with exactly the events, order and addresses of
-/// ExecPlan::run, so every modeled counter stays bit-identical —
+/// HostPerfModel with exactly the events, order and addresses of the tree
+/// walker, so every modeled counter stays bit-identical —
 /// PlanEquivalenceFuzzTest pins this differentially.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,15 +41,14 @@
 namespace axi4mlir {
 namespace exec {
 
-/// Which executor runs a function: the legacy tree walker, the PR-3 plan
-/// interpreter (one switch per instruction), or the pre-decoded
-/// threaded-dispatch engine (the default).
-enum class ExecMode { Walker, Plan, Threaded };
+/// Which executor runs a function: the tree walker (the reference the
+/// tests compare against) or the pre-decoded threaded-dispatch engine
+/// (the default, and the only one production paths use).
+enum class ExecMode { Walker, Threaded };
 
-/// Parses "walker" | "plan" | "threaded"; sets \p Error otherwise.
+/// Parses "walker" | "threaded"; sets \p Error otherwise.
 LogicalResult parseExecMode(const std::string &Text, ExecMode &Mode,
                             std::string &Error);
-const char *toString(ExecMode Mode);
 
 /// A plan pre-decoded into dispatch-ready form. Owns copies of everything
 /// it needs (like ExecPlan itself), so it stays valid after the source
@@ -61,14 +60,15 @@ public:
   static std::unique_ptr<DecodedPlan> decode(const ExecPlan &Plan);
   ~DecodedPlan();
 
-  /// Executes via the threaded dispatch loop. Same contract (arguments,
-  /// diagnostics, perf charges) as ExecPlan::run.
+  /// Executes via the threaded dispatch loop, binding \p Arguments to the
+  /// function's memref parameters. \p Runtime may be null for CPU-only
+  /// functions. Same diagnostics and perf charges as the tree walker.
   LogicalResult run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
                     const std::vector<runtime::MemRefDesc> &Arguments,
                     std::string &Error) const;
 
   /// Disassembles the dispatch-ready program (golden-pinned in
-  /// ExecPlanTest, matching the ExecPlan::print goldens).
+  /// ExecPlanTest next to the ExecPlan::print goldens).
   void print(std::ostream &OS) const;
   std::string printToString() const;
 

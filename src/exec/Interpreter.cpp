@@ -25,28 +25,11 @@ Interpreter::Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
                          ExecMode Mode)
     : Soc(Soc), Runtime(Runtime), Mode(Mode) {}
 
-Interpreter::Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-                         bool UseCompiledPlan)
-    : Interpreter(Soc, Runtime,
-                  UseCompiledPlan ? ExecMode::Plan : ExecMode::Walker) {}
-
 Interpreter::~Interpreter() = default;
 
 void Interpreter::setPlanOptions(const opt::PlanOptOptions &Options) {
   PlanOptions = Options;
-  PlanCache.clear();
-}
-
-void Interpreter::setPlanCacheCapacity(size_t Capacity) {
-  PlanCacheCapacity = Capacity < 1 ? 1 : Capacity;
-  while (PlanCache.size() > PlanCacheCapacity) {
-    PlanCache.pop_back();
-    Soc.perf().onPlanCacheEviction();
-  }
-}
-
-const DecodedPlan *Interpreter::decodedPlan() const {
-  return PlanCache.empty() ? nullptr : PlanCache.front().Decoded.get();
+  Memo = PlanMemo();
 }
 
 LogicalResult Interpreter::run(func::FuncOp Func,
@@ -59,79 +42,52 @@ LogicalResult Interpreter::run(func::FuncOp Func,
     Error = "argument count mismatch calling '" + Func.getFuncName() + "'";
     return failure();
   }
-  if (Mode != ExecMode::Walker) {
-    // Compile once, execute many: plans are reused while run() keeps
-    // being called with the same, unmodified functions. The fingerprint
-    // (address + name + structural argument types + top-level op count)
-    // catches the realistic staleness cases — a recycled heap address,
-    // different workload shapes, or a pass rewriting the function in
-    // place — but a caller that mutates the body without changing any
-    // of those must use a fresh Interpreter (or compile an ExecPlan
-    // directly). The cache is a bounded LRU so a driver alternating over
-    // many functions neither thrashes on two of them (the old
-    // single-entry behaviour) nor grows without limit.
+  if (Mode == ExecMode::Threaded) {
+    // Compile once, execute many: the decoded plan is reused while run()
+    // keeps being called with the same, unmodified function. The
+    // fingerprint (address + name + structural argument types + top-level
+    // op count) catches the realistic staleness cases — a recycled heap
+    // address, different workload shapes, or a pass rewriting the
+    // function in place — but a caller that mutates the body without
+    // changing any of those must use a fresh Interpreter.
     size_t TopLevelOps = Entry.getOperations().size();
-    auto matches = [&](const PlanCacheEntry &Cached) {
-      if (Cached.For != Func.getOperation() ||
-          Cached.TopLevelOps != TopLevelOps ||
-          Cached.Plan->funcName() != Func.getFuncName() ||
-          Cached.ArgTypes.size() != Entry.getNumArguments())
-        return false;
-      for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
-        if (!(Cached.ArgTypes[I] == Entry.getArgument(I).getType()))
-          return false;
-      return true;
-    };
-    auto Hit = PlanCache.end();
-    for (auto It = PlanCache.begin(); It != PlanCache.end(); ++It) {
-      if (matches(*It)) {
-        Hit = It;
-        break;
-      }
-    }
-    if (Hit != PlanCache.end()) {
+    bool Hit = Memo.Decoded && Memo.For == Func.getOperation() &&
+               Memo.TopLevelOps == TopLevelOps &&
+               Memo.FuncName == Func.getFuncName() &&
+               Memo.ArgTypes.size() == Entry.getNumArguments();
+    for (unsigned I = 0; Hit && I < Entry.getNumArguments(); ++I)
+      Hit = Memo.ArgTypes[I] == Entry.getArgument(I).getType();
+    if (Hit) {
       Soc.perf().onPlanCacheHit();
-      PlanCache.splice(PlanCache.begin(), PlanCache, Hit);
-      OptStats = PlanCache.front().Stats;
+      OptStats = Memo.Stats;
     } else {
       Soc.perf().onPlanCacheMiss();
-      PlanCacheEntry Fresh;
-      Fresh.Plan = ExecPlan::compile(Func, Error);
-      if (!Fresh.Plan)
+      std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+      if (!Plan)
         return failure();
-      Fresh.Stats = opt::optimizePlan(*Fresh.Plan, PlanOptions);
-      if (!Fresh.Stats.VerifyError.empty()) {
-        // Verify-each caught a miscompile between passes: refuse to cache
-        // or run the rejected plan.
-        Error = "plan verification failed after " +
-                Fresh.Stats.VerifyFailedPass + ": " +
-                Fresh.Stats.VerifyError;
+      opt::PlanOptStats Stats = opt::optimizePlan(*Plan, PlanOptions);
+      if (!Stats.VerifyError.empty()) {
+        // Verify-each caught a miscompile between passes: refuse to
+        // memoize or run the rejected plan.
+        Error = "plan verification failed after " + Stats.VerifyFailedPass +
+                ": " + Stats.VerifyError;
         return failure();
       }
-      OptStats = Fresh.Stats;
-      Fresh.For = Func.getOperation();
-      Fresh.TopLevelOps = TopLevelOps;
-      for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
-        Fresh.ArgTypes.push_back(Entry.getArgument(I).getType());
-      PlanCache.push_front(std::move(Fresh));
-      while (PlanCache.size() > PlanCacheCapacity) {
-        PlanCache.pop_back();
+      if (Memo.Decoded)
         Soc.perf().onPlanCacheEviction();
-      }
+      Memo = PlanMemo();
+      Memo.Decoded = DecodedPlan::decode(*Plan);
+      Memo.For = Func.getOperation();
+      Memo.FuncName = Func.getFuncName();
+      Memo.TopLevelOps = TopLevelOps;
+      for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
+        Memo.ArgTypes.push_back(Entry.getArgument(I).getType());
+      Memo.Stats = OptStats = Stats;
     }
-    PlanCacheEntry &Active = PlanCache.front();
-    if (Mode == ExecMode::Threaded) {
-      // Decode lazily (after the optimizer has run) so a mode switch on a
-      // warm plan cache still picks up the threaded engine.
-      if (!Active.Decoded)
-        Active.Decoded = DecodedPlan::decode(*Active.Plan);
-      return Active.Decoded->run(Soc, Runtime, Arguments, Error);
-    }
-    return Active.Plan->run(Soc, Runtime, Arguments, Error);
+    return Memo.Decoded->run(Soc, Runtime, Arguments, Error);
   }
   for (unsigned I = 0; I < Arguments.size(); ++I)
-    Env[Entry.getArgument(I).getImpl()] =
-        RuntimeValue::fromMemRef(Arguments[I]);
+    Env[Entry.getArgument(I).getImpl()].setMemRef(Arguments[I]);
   if (failed(executeBlock(Entry))) {
     Error = ErrorMessage.empty() ? "interpreter failure" : ErrorMessage;
     return failure();
@@ -167,38 +123,20 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
   if (Name == "arith.constant") {
     Attribute ValueAttr = Op->getAttr("value");
     if (ValueAttr.getKind() == Attribute::Kind::Float)
-      value(Op->getResult(0)) =
-          RuntimeValue::fromFloat(ValueAttr.getFloatValue());
+      value(Op->getResult(0)).setFloat(ValueAttr.getFloatValue());
     else
-      value(Op->getResult(0)) =
-          RuntimeValue::fromInt(ValueAttr.getIntValue());
+      value(Op->getResult(0)).setInt(ValueAttr.getIntValue());
     return success();
   }
   if (Name.rfind("arith.", 0) == 0 && Op->getNumOperands() == 2) {
-    RuntimeValue &LHS = value(Op->getOperand(0));
-    RuntimeValue &RHS = value(Op->getOperand(1));
-    Perf.onArith(1);
-    bool IsFloat = LHS.Tag == RuntimeValue::Kind::Float;
-    double A = IsFloat ? LHS.FloatVal : static_cast<double>(LHS.IntVal);
-    double B = IsFloat ? RHS.FloatVal : static_cast<double>(RHS.IntVal);
-    double R = 0;
-    if (Name == "arith.addf" || Name == "arith.addi")
-      R = A + B;
-    else if (Name == "arith.mulf" || Name == "arith.muli")
-      R = A * B;
-    else if (Name == "arith.subf" || Name == "arith.subi")
-      R = A - B;
-    else if (Name == "arith.divf")
-      R = A / B;
-    else if (Name == "arith.maxf")
-      R = A > B ? A : B;
-    else
+    sim::BinKind Kind;
+    if (!sim::arithBinKind(Name, Kind))
       return fail("unsupported arith op '" + Name + "'");
-    if (Op->getResult(0).getType().isFloat())
-      value(Op->getResult(0)) = RuntimeValue::fromFloat(R);
-    else
-      value(Op->getResult(0)) =
-          RuntimeValue::fromInt(static_cast<int64_t>(R));
+    Perf.onArith(1);
+    const Cell &LHS = value(Op->getOperand(0));
+    const Cell &RHS = value(Op->getOperand(1));
+    value(Op->getResult(0))
+        .setBinary(Kind, Op->getResult(0).getType().isFloat(), LHS, RHS);
     return success();
   }
   if (Name == "arith.index_cast") {
@@ -215,12 +153,15 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
     int64_t Step = intValue(For.getStep());
     if (Step <= 0)
       return fail("scf.for requires a positive step");
-    for (int64_t IV = LowerBound; IV < UpperBound; IV += Step) {
+    if (LowerBound >= UpperBound)
+      return success();
+    int64_t IV = LowerBound;
+    do {
       Perf.onLoopIteration();
-      value(For.getInductionVar()) = RuntimeValue::fromInt(IV);
+      value(For.getInductionVar()).setInt(IV);
       if (failed(executeBlock(*For.getBody())))
         return failure();
-    }
+    } while (sim::nextInductionVar(IV, Step, UpperBound));
     return success();
   }
 
@@ -233,8 +174,7 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
                              ? sim::ElemKind::F32
                              : sim::ElemKind::I32;
     Perf.onArith(10); // allocator call
-    value(Op->getResult(0)) =
-        RuntimeValue::fromMemRef(MemRefDesc::alloc(Ty.getShape(), Kind));
+    value(Op->getResult(0)).setMemRef(MemRefDesc::alloc(Ty.getShape(), Kind));
     return success();
   }
   if (Name == "memref.dealloc") {
@@ -249,13 +189,8 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
     int64_t Linear = Desc.linearIndex(Indices);
     Perf.onArith(Desc.rank()); // address computation
     Perf.onScalarLoad(Desc.addressOf(Linear), 4);
-    uint32_t Word = Desc.Buffer->Data[static_cast<size_t>(Linear)];
-    if (Desc.kind() == sim::ElemKind::F32)
-      value(Op->getResult(0)) = RuntimeValue::fromFloat(
-          static_cast<double>(sim::wordToFloat(Word)));
-    else
-      value(Op->getResult(0)) =
-          RuntimeValue::fromInt(static_cast<int32_t>(Word));
+    value(Op->getResult(0))
+        .setWord(Desc.Buffer->Data[static_cast<size_t>(Linear)], Desc.kind());
     return success();
   }
   if (auto Store = dyn_cast_op<memref::StoreOp>(Op)) {
@@ -266,18 +201,8 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
     int64_t Linear = Desc.linearIndex(Indices);
     Perf.onArith(Desc.rank());
     Perf.onScalarStore(Desc.addressOf(Linear), 4);
-    RuntimeValue &Stored = value(Store.getStoredValue());
-    uint32_t Word =
-        Desc.kind() == sim::ElemKind::F32
-            ? sim::floatToWord(static_cast<float>(
-                  Stored.Tag == RuntimeValue::Kind::Float
-                      ? Stored.FloatVal
-                      : static_cast<double>(Stored.IntVal)))
-            : static_cast<uint32_t>(static_cast<int32_t>(
-                  Stored.Tag == RuntimeValue::Kind::Float
-                      ? static_cast<int64_t>(Stored.FloatVal)
-                      : Stored.IntVal));
-    Desc.Buffer->Data[static_cast<size_t>(Linear)] = Word;
+    Desc.Buffer->Data[static_cast<size_t>(Linear)] =
+        value(Store.getStoredValue()).toWord(Desc.kind());
     return success();
   }
   if (auto Copy = dyn_cast_op<memref::CopyOp>(Op)) {
@@ -300,8 +225,8 @@ LogicalResult Interpreter::executeOp(Operation *Op) {
     for (unsigned I = 1; I < Op->getNumOperands(); ++I)
       Offsets.push_back(intValue(Op->getOperand(I)));
     Perf.onArith(2 * Source.rank()); // descriptor arithmetic
-    value(Op->getResult(0)) = RuntimeValue::fromMemRef(
-        Source.subview(Offsets, SubView.getStaticSizes()));
+    value(Op->getResult(0))
+        .setMemRef(Source.subview(Offsets, SubView.getStaticSizes()));
     return success();
   }
 
@@ -360,13 +285,9 @@ LogicalResult Interpreter::executeLinalgGeneric(Operation *Op) {
       std::vector<int64_t> Indices = Maps[I].eval(Point);
       int64_t Linear = Descs[I].linearIndex(Indices);
       Perf.onScalarLoad(Descs[I].addressOf(Linear), 4);
-      uint32_t Word = Descs[I].Buffer->Data[static_cast<size_t>(Linear)];
-      RuntimeValue BoundValue =
-          Descs[I].kind() == sim::ElemKind::F32
-              ? RuntimeValue::fromFloat(
-                    static_cast<double>(sim::wordToFloat(Word)))
-              : RuntimeValue::fromInt(static_cast<int32_t>(Word));
-      Env[Body.getArgument(I).getImpl()] = BoundValue;
+      value(Body.getArgument(I))
+          .setWord(Descs[I].Buffer->Data[static_cast<size_t>(Linear)],
+                   Descs[I].kind());
     }
 
     // Run the payload.
@@ -374,20 +295,11 @@ LogicalResult Interpreter::executeLinalgGeneric(Operation *Op) {
       if (BodyOp->getName() == "linalg.yield") {
         for (unsigned O = 0; O < BodyOp->getNumOperands(); ++O) {
           unsigned OperandIdx = NumInputs + O;
-          RuntimeValue &Yielded = value(BodyOp->getOperand(O));
           std::vector<int64_t> Indices = Maps[OperandIdx].eval(Point);
           int64_t Linear = Descs[OperandIdx].linearIndex(Indices);
           Perf.onScalarStore(Descs[OperandIdx].addressOf(Linear), 4);
           Descs[OperandIdx].Buffer->Data[static_cast<size_t>(Linear)] =
-              Descs[OperandIdx].kind() == sim::ElemKind::F32
-                  ? sim::floatToWord(static_cast<float>(
-                        Yielded.Tag == RuntimeValue::Kind::Float
-                            ? Yielded.FloatVal
-                            : static_cast<double>(Yielded.IntVal)))
-                  : static_cast<uint32_t>(static_cast<int32_t>(
-                        Yielded.Tag == RuntimeValue::Kind::Float
-                            ? static_cast<int64_t>(Yielded.FloatVal)
-                            : Yielded.IntVal));
+              value(BodyOp->getOperand(O)).toWord(Descs[OperandIdx].kind());
         }
         break;
       }
@@ -425,7 +337,7 @@ LogicalResult Interpreter::executeAccelOp(Operation *Op) {
         static_cast<int32_t>(Op->getIntAttr("literal")), Offset);
     Runtime->dmaStartSend(End - Offset, Offset);
     Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
+    value(Op->getResult(0)).setInt(End);
     return success();
   }
   if (Name == accel::SendOp::OpName) {
@@ -434,7 +346,7 @@ LogicalResult Interpreter::executeAccelOp(Operation *Op) {
         Runtime->copyToDmaRegion(memrefValue(Op->getOperand(0)), Offset);
     Runtime->dmaStartSend(End - Offset, Offset);
     Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
+    value(Op->getResult(0)).setInt(End);
     return success();
   }
   if (Name == accel::SendDimOp::OpName) {
@@ -448,7 +360,7 @@ LogicalResult Interpreter::executeAccelOp(Operation *Op) {
         static_cast<int32_t>(Size), Offset);
     Runtime->dmaStartSend(End - Offset, Offset);
     Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
+    value(Op->getResult(0)).setInt(End);
     return success();
   }
   if (Name == accel::SendIdxOp::OpName) {
@@ -457,7 +369,7 @@ LogicalResult Interpreter::executeAccelOp(Operation *Op) {
         static_cast<int32_t>(intValue(Op->getOperand(0))), Offset);
     Runtime->dmaStartSend(End - Offset, Offset);
     Runtime->dmaWaitSendCompletion();
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
+    value(Op->getResult(0)).setInt(End);
     return success();
   }
   if (Name == accel::RecvOp::OpName) {
@@ -467,7 +379,7 @@ LogicalResult Interpreter::executeAccelOp(Operation *Op) {
     Runtime->dmaStartRecv(Length, 0);
     Runtime->dmaWaitRecvCompletion();
     Runtime->copyFromDmaRegion(Desc, 0, Recv.getMode() == "accumulate");
-    value(Op->getResult(0)) = RuntimeValue::fromInt(0);
+    value(Op->getResult(0)).setInt(0);
     return success();
   }
   return fail("unsupported accel op '" + Name + "'");
@@ -486,14 +398,14 @@ LogicalResult Interpreter::executeRuntimeCall(Operation *Op) {
   if (Callee == rt::CopyToDma) {
     int64_t End = Runtime->copyToDmaRegion(memrefValue(Op->getOperand(0)),
                                            intValue(Op->getOperand(1)));
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
+    value(Op->getResult(0)).setInt(End);
     return success();
   }
   if (Callee == rt::CopyLiteralToDma || Callee == rt::CopyIndexToDma) {
-    RuntimeValue &Literal = value(Op->getOperand(0));
     int64_t End = Runtime->copyLiteralToDmaRegion(
-        static_cast<int32_t>(Literal.IntVal), intValue(Op->getOperand(1)));
-    value(Op->getResult(0)) = RuntimeValue::fromInt(End);
+        static_cast<int32_t>(intValue(Op->getOperand(0))),
+        intValue(Op->getOperand(1)));
+    value(Op->getResult(0)).setInt(End);
     return success();
   }
   if (Callee == rt::StartSend) {

@@ -27,7 +27,6 @@
 #include "runtime/DmaRuntime.h"
 #include "support/LogicalResult.h"
 
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,105 +35,52 @@
 namespace axi4mlir {
 namespace exec {
 
-class ExecPlan;
-
 /// Interprets one func.func against a simulated system. By default the
-/// function is compiled once into an ExecPlan (cached across run() calls
-/// on the same function), pre-decoded into dispatch-ready form, and
-/// executed through the threaded-dispatch engine. The plan interpreter
-/// (one switch per instruction) and the legacy tree walker stay
-/// selectable through ExecMode for the equivalence tests and ablations;
-/// all three produce identical buffers and perf counters.
+/// function is compiled into an ExecPlan, optimized, pre-decoded into
+/// dispatch-ready form and executed through the threaded-dispatch engine;
+/// the decoded program is memoized across run() calls on the same
+/// function. ExecMode::Walker selects the tree walker instead: the
+/// reference the equivalence tests hold the threaded engine to (identical
+/// buffers and perf counters).
 class Interpreter {
 public:
   /// \p Runtime may be null for CPU-only functions (no accel/axirt ops).
   Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
               ExecMode Mode = ExecMode::Threaded);
-  /// Legacy selector kept for the walker-vs-plan call sites: true is the
-  /// plan interpreter, false the tree walker.
-  Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-              bool UseCompiledPlan);
   ~Interpreter();
 
-  void setExecMode(ExecMode Mode) { this->Mode = Mode; }
-  ExecMode execMode() const { return Mode; }
-
-  /// Legacy selector: compiled execution (the plan interpreter) vs the
-  /// tree walker. Both produce identical output buffers and counters.
-  void setUseCompiledPlan(bool Enabled) {
-    Mode = Enabled ? ExecMode::Plan : ExecMode::Walker;
-  }
-  bool usesCompiledPlan() const { return Mode != ExecMode::Walker; }
-
   /// Enables plan-optimizer passes (src/exec/opt) for subsequent runs.
-  /// Off by default to preserve the bit-identical plan-vs-walker counter
-  /// guarantee. Invalidates the plan cache.
+  /// Off by default to preserve the bit-identical threaded-vs-walker
+  /// counter guarantee. Clears the plan memo.
   void setPlanOptions(const opt::PlanOptOptions &Options);
   const opt::PlanOptOptions &planOptions() const { return PlanOptions; }
   /// What the optimizer did to the most recently compiled plan.
   const opt::PlanOptStats &planOptStats() const { return OptStats; }
 
-  /// Bounds the LRU plan cache (entries, >= 1). Shrinking below the
-  /// current population evicts least-recently-used entries immediately
-  /// (charged to the SoC's PlanCacheEvictions counter).
-  void setPlanCacheCapacity(size_t Capacity);
-  size_t planCacheCapacity() const { return PlanCacheCapacity; }
-  size_t planCacheSize() const { return PlanCache.size(); }
-
-  /// Runs \p Func with memref arguments bound to \p Arguments. Compiled
-  /// plans are held in a per-Interpreter LRU cache keyed by function
-  /// identity, so alternating across several functions skips
-  /// recompilation (and re-decoding in threaded mode) until the capacity
-  /// bound evicts them. Hits/misses/evictions are charged to the SoC's
-  /// HostPerfModel plan-cache counters (counters only, no cycles).
+  /// Runs \p Func with memref arguments bound to \p Arguments. In
+  /// threaded mode the decoded plan of the last function run is memoized,
+  /// so running the same function again skips recompilation. Memo
+  /// hits/misses/replacements are charged to the SoC's HostPerfModel
+  /// PlanCacheHits/Misses/Evictions counters (counters only, no cycles).
   LogicalResult run(func::FuncOp Func,
                     const std::vector<runtime::MemRefDesc> &Arguments,
                     std::string &Error);
 
-  /// The pre-decoded program of the most recently used cache entry, or
-  /// null until a threaded-mode run() has populated it. For introspection
+  /// The pre-decoded program of the memoized plan, or null until a
+  /// threaded-mode run() has populated it. For introspection
   /// (disassembly goldens, kernel-specialization counts).
-  const DecodedPlan *decodedPlan() const;
+  const DecodedPlan *decodedPlan() const { return Memo.Decoded.get(); }
 
 private:
-  /// A dynamic value: index/integer, float, or memref.
-  struct RuntimeValue {
-    enum class Kind { Int, Float, MemRef } Tag = Kind::Int;
-    int64_t IntVal = 0;
-    double FloatVal = 0;
-    runtime::MemRefDesc MemRef;
-
-    static RuntimeValue fromInt(int64_t V) {
-      RuntimeValue Value;
-      Value.Tag = Kind::Int;
-      Value.IntVal = V;
-      return Value;
-    }
-    static RuntimeValue fromFloat(double V) {
-      RuntimeValue Value;
-      Value.Tag = Kind::Float;
-      Value.FloatVal = V;
-      return Value;
-    }
-    static RuntimeValue fromMemRef(runtime::MemRefDesc Desc) {
-      RuntimeValue Value;
-      Value.Tag = Kind::MemRef;
-      Value.MemRef = std::move(Desc);
-      return Value;
-    }
-  };
-
   LogicalResult executeBlock(Block &TheBlock);
   LogicalResult executeOp(Operation *Op);
   LogicalResult executeLinalgGeneric(Operation *Op);
   LogicalResult executeRuntimeCall(Operation *Op);
   LogicalResult executeAccelOp(Operation *Op);
 
-  RuntimeValue &value(Value V) { return Env[V.getImpl()]; }
-  int64_t intValue(Value V) { return value(V).IntVal; }
-  const runtime::MemRefDesc &memrefValue(Value V) {
-    return value(V).MemRef;
-  }
+  Cell &value(Value V) { return Env[V.getImpl()]; }
+  int64_t intValue(Value V) { return value(V).I; }
+  const runtime::MemRefDesc &memrefValue(Value V) { return value(V).M; }
   LogicalResult fail(const std::string &Message) {
     if (ErrorMessage.empty())
       ErrorMessage = Message;
@@ -146,25 +92,21 @@ private:
   ExecMode Mode;
   opt::PlanOptOptions PlanOptions;
   opt::PlanOptStats OptStats;
-  /// One compiled function in the LRU plan cache. The fingerprint (op
+  /// The decoded plan of the last function run. The fingerprint (op
   /// address, name, structural argument types, top-level op count)
   /// invalidates on the realistic staleness cases; callers mutating a
   /// function body in place without changing any of those must use a
   /// fresh Interpreter.
-  struct PlanCacheEntry {
-    std::unique_ptr<ExecPlan> Plan;
-    /// Dispatch-ready form; populated lazily in threaded mode.
+  struct PlanMemo {
     std::unique_ptr<DecodedPlan> Decoded;
     Operation *For = nullptr;
+    std::string FuncName;
     size_t TopLevelOps = 0;
     std::vector<Type> ArgTypes;
     opt::PlanOptStats Stats;
   };
-  /// Most-recently-used entry at the front; evicted from the back once
-  /// the population exceeds PlanCacheCapacity.
-  std::list<PlanCacheEntry> PlanCache;
-  size_t PlanCacheCapacity = 8;
-  std::map<detail::ValueImpl *, RuntimeValue> Env;
+  PlanMemo Memo;
+  std::map<detail::ValueImpl *, Cell> Env;
   std::string ErrorMessage;
 };
 

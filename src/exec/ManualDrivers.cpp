@@ -70,11 +70,7 @@ public:
         if (Accumulate) {
           Perf.onScalarLoad(Dest.addressOf(Linear), 4);
           Perf.onArith(1);
-          Slot = Dest.kind() == sim::ElemKind::F32
-                     ? sim::floatToWord(sim::wordToFloat(Slot) +
-                                        sim::wordToFloat(Word))
-                     : static_cast<uint32_t>(static_cast<int32_t>(Slot) +
-                                             static_cast<int32_t>(Word));
+          Slot = sim::accumulateWord(Slot, Word, Dest.kind());
         } else {
           Slot = Word;
         }
@@ -324,12 +320,7 @@ bool exec::runManualConv2D(runtime::DmaRuntime &Runtime,
             uint32_t &Slot =
                 Output.Buffer->Data[static_cast<size_t>(Linear)];
             uint32_t Word = Region[Offset];
-            Slot = Output.kind() == sim::ElemKind::F32
-                       ? sim::floatToWord(sim::wordToFloat(Slot) +
-                                          sim::wordToFloat(Word))
-                       : static_cast<uint32_t>(
-                             static_cast<int32_t>(Slot) +
-                             static_cast<int32_t>(Word));
+            Slot = sim::accumulateWord(Slot, Word, Output.kind());
             Perf.onScalarStore(Output.addressOf(Linear), 4);
             ++Offset;
           }

@@ -68,9 +68,7 @@ inline void fillRandom(runtime::MemRefDesc &Desc, uint32_t Seed) {
   std::uniform_int_distribution<int32_t> Dist(-4, 4);
   for (uint32_t &Word : Desc.Buffer->Data) {
     int32_t V = Dist(Rng);
-    Word = Desc.kind() == sim::ElemKind::F32
-               ? sim::floatToWord(static_cast<float>(V))
-               : static_cast<uint32_t>(V);
+    Word = sim::valueToWord(V, Desc.kind());
   }
 }
 

@@ -303,9 +303,8 @@ private:
   /// the verifier's proofs and the query functions below.
   using Analysis = analysis::SlotFacts;
 
-  /// Evaluates the instruction's result given current constant facts;
-  /// mirrors runSpan's arithmetic exactly (Binary computes in double and
-  /// truncates back, like the walker). Delegates to the shared analysis.
+  /// Evaluates the instruction's result given current constant facts,
+  /// with the executors' arithmetic. Delegates to the shared analysis.
   bool evalConst(const Inst &I, const Analysis &A, int64_t &Out) const {
     return analysis::evalConstDst(I, A, Out);
   }

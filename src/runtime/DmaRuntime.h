@@ -77,12 +77,11 @@ public:
   }
 
   /// Structured engine state; non-Ok latches on the first unrecovered
-  /// failure. Checked by all three executors after every runtime call.
+  /// failure. Checked by both executors after every runtime call.
   sim::AccelStatus status() const { return Soc.dma().status(); }
 
-  /// The uniform failure text all three executors report, so a fault
-  /// surfaces identically under the walker, the plan interpreter and the
-  /// threaded engine.
+  /// The uniform failure text both executors report, so a fault surfaces
+  /// identically under the walker and the threaded engine.
   std::string statusErrorText() const {
     return std::string("accelerator/DMA ") + sim::toString(status()) +
            " error: " + errorMessage();

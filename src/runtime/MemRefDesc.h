@@ -130,16 +130,10 @@ struct MemRefDesc {
   //===------------------------------------------------------------------===//
 
   double read(const std::vector<int64_t> &Indices) const {
-    uint32_t Word = at(Indices);
-    return kind() == sim::ElemKind::F32
-               ? static_cast<double>(sim::wordToFloat(Word))
-               : static_cast<double>(static_cast<int32_t>(Word));
+    return sim::wordToValue(at(Indices), kind());
   }
   void write(const std::vector<int64_t> &Indices, double Value) {
-    at(Indices) = kind() == sim::ElemKind::F32
-                      ? sim::floatToWord(static_cast<float>(Value))
-                      : static_cast<uint32_t>(
-                            static_cast<int32_t>(static_cast<int64_t>(Value)));
+    at(Indices) = sim::valueToWord(Value, kind());
   }
 };
 

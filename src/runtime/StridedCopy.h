@@ -88,12 +88,10 @@ inline void accumulateRow(uint32_t *Dst, const uint32_t *Src, int64_t Count,
                           CopyMode Mode) {
   if (Mode == CopyMode::AccumulateF32) {
     for (int64_t I = 0; I < Count; ++I)
-      Dst[I] = sim::floatToWord(sim::wordToFloat(Dst[I]) +
-                                sim::wordToFloat(Src[I]));
+      Dst[I] = sim::accumulateWord<sim::ElemKind::F32>(Dst[I], Src[I]);
   } else {
     for (int64_t I = 0; I < Count; ++I)
-      Dst[I] = static_cast<uint32_t>(static_cast<int32_t>(Dst[I]) +
-                                     static_cast<int32_t>(Src[I]));
+      Dst[I] = sim::accumulateWord<sim::ElemKind::I32>(Dst[I], Src[I]);
   }
 }
 
@@ -225,12 +223,10 @@ inline void stridedCopy(sim::HostPerfModel &Perf,
         *Slot = Word;
       } else {
         Perf.onScalarLoad(Req.Dst.Address + DstElem * 4, 4);
-        if (Req.Mode == CopyMode::AccumulateF32)
-          *Slot = sim::floatToWord(sim::wordToFloat(*Slot) +
-                                   sim::wordToFloat(Word));
-        else
-          *Slot = static_cast<uint32_t>(static_cast<int32_t>(*Slot) +
-                                        static_cast<int32_t>(Word));
+        *Slot = sim::accumulateWord(*Slot, Word,
+                                    Req.Mode == CopyMode::AccumulateF32
+                                        ? sim::ElemKind::F32
+                                        : sim::ElemKind::I32);
       }
       Perf.onScalarStore(Req.Dst.Address + DstElem * 4, 4);
       SrcElem += SrcElemStride;

@@ -30,6 +30,7 @@
 #include "sim/AccelStatus.h"
 #include "sim/CostModel.h"
 #include "sim/FaultInjector.h"
+#include "sim/Semantics.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -40,9 +41,6 @@
 
 namespace axi4mlir {
 namespace sim {
-
-/// Element interpretation of the 32-bit stream words.
-enum class ElemKind { I32, F32 };
 
 /// Opcode literals of the micro-ISAs (the values the host streams ahead of
 /// data bursts; matmul values follow paper Fig. 6a, conv values Fig. 15a).
@@ -226,27 +224,6 @@ protected:
 
 /// Formats an opcode word the way protocol dumps spell it ("0x21").
 std::string formatOpcode(uint32_t Opcode);
-
-/// Bit-level conversions between stream words and element values.
-inline float wordToFloat(uint32_t Word) {
-  float Result;
-  __builtin_memcpy(&Result, &Word, sizeof(Result));
-  return Result;
-}
-inline uint32_t floatToWord(float Value) {
-  uint32_t Result;
-  __builtin_memcpy(&Result, &Value, sizeof(Result));
-  return Result;
-}
-
-/// Element value -> stream word, matching the reference emission path.
-template <ElemKind Kind> inline uint32_t valueToWord(double Value) {
-  if constexpr (Kind == ElemKind::F32)
-    return floatToWord(static_cast<float>(Value));
-  else
-    return static_cast<uint32_t>(
-        static_cast<int32_t>(static_cast<int64_t>(Value)));
-}
 
 } // namespace sim
 } // namespace axi4mlir

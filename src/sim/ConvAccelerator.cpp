@@ -148,15 +148,12 @@ template <ElemKind K> double ConvAccelerator::windowDot() const {
   if constexpr (K == ElemKind::F32) {
     double Sum = 0;
     for (size_t I = 0; I < E; ++I)
-      Sum += static_cast<double>(wordToFloat(W[I])) *
-             static_cast<double>(wordToFloat(F[I]));
+      Sum += wordToValue<K>(W[I]) * wordToValue<K>(F[I]);
     return Sum;
   } else {
     uint64_t Sum = 0;
     for (size_t I = 0; I < E; ++I)
-      Sum += static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(W[I])) *
-          static_cast<int64_t>(static_cast<int32_t>(F[I])));
+      Sum += static_cast<uint64_t>(wordToInt(W[I]) * wordToInt(F[I]));
     return static_cast<double>(static_cast<int64_t>(Sum));
   }
 }

@@ -4,9 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The recovery layer lives entirely in this file so all three executors
-// (walker, compiled plan, threaded dispatch) heal identically: they issue
-// the same runtime-call sequence, the engine absorbs the same faults.
+// The recovery layer lives entirely in this file so both executors
+// (walker, threaded dispatch) heal identically: they issue the same
+// runtime-call sequence, the engine absorbs the same faults.
 //
 // Counter contract (PerfModel.h): the first logical attempt of every send
 // charges the pre-existing counters (HostCycles/DmaTransfers/FabricCycles)

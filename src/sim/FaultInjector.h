@@ -11,9 +11,8 @@
 /// of the run, accelerator faults (transient-error / stall) fire on the
 /// Nth opcode the accelerator starts. Keying by logical index (instead of
 /// wall-clock or address) is what makes a schedule reproducible across the
-/// walker, plan and threaded executors: all three issue the identical
-/// runtime-call sequence, so the same plan perturbs the same transfer in
-/// each.
+/// walker and threaded executors: both issue the identical runtime-call
+/// sequence, so the same plan perturbs the same transfer in each.
 ///
 /// Attempt semantics: an event fires on the first `Attempts` presentations
 /// of its index. Retried transfers re-present the same logical index, so

@@ -384,17 +384,9 @@ template <ElemKind K> void MatMulAccelerator::computeTile() {
     const uint32_t *ARow = A + M * TileK;
     for (int64_t Kk = 0; Kk < TileK; ++Kk) {
       const uint32_t *BRow = B + Kk * TileN;
-      double AVal = K == ElemKind::F32
-                        ? static_cast<double>(wordToFloat(ARow[Kk]))
-                        : static_cast<double>(static_cast<int32_t>(ARow[Kk]));
-      if constexpr (K == ElemKind::F32) {
-        for (int64_t N = 0; N < TileN; ++N)
-          Row[N] += AVal * static_cast<double>(wordToFloat(BRow[N]));
-      } else {
-        for (int64_t N = 0; N < TileN; ++N)
-          Row[N] +=
-              AVal * static_cast<double>(static_cast<int32_t>(BRow[N]));
-      }
+      double AVal = wordToValue<K>(ARow[Kk]);
+      for (int64_t N = 0; N < TileN; ++N)
+        Row[N] += AVal * wordToValue<K>(BRow[N]);
     }
     for (int64_t N = 0; N < TileN; ++N) {
       C[M * TileN + N] += Row[N];

@@ -56,12 +56,13 @@ struct PerfReport {
   uint64_t CpuFallbackEvents = 0;    ///< switches to host CPU execution
   double CpuFallbackCycles = 0;      ///< fallback compute (host domain)
 
-  // ExecPlan-cache telemetry (Interpreter LRU + the serve layer's shared
-  // cache). Pure counters: they charge no cycles, so runs with identical
-  // work keep identical TaskClockMs regardless of cache behaviour.
+  // ExecPlan-cache telemetry (the Interpreter's one-entry plan memo + the
+  // serve layer's shared LRU). Pure counters: they charge no cycles, so
+  // runs with identical work keep identical TaskClockMs regardless of
+  // cache behaviour.
   uint64_t PlanCacheHits = 0;      ///< compiled plan reused
   uint64_t PlanCacheMisses = 0;    ///< plan compiled (cold or invalidated)
-  uint64_t PlanCacheEvictions = 0; ///< LRU entry dropped at capacity
+  uint64_t PlanCacheEvictions = 0; ///< entry dropped at capacity
 
   std::string summary() const;
 };

@@ -1,19 +1,20 @@
-//===- ExecPlanTest.cpp - Compiled plan vs. legacy walker equivalence -----===//
+//===- ExecPlanTest.cpp - Threaded plan engine vs. tree walker ------------===//
 //
 // Part of the AXI4MLIR reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Proves the compile-once/execute-many ExecPlan is indistinguishable from
-/// the legacy tree-walking interpreter on all three abstraction levels
-/// (linalg.generic, accel ops, axirt runtime calls): identical output
-/// buffers AND bit-identical HostPerfModel counters. The plan is the
-/// measurement engine for every figure bench, so this equivalence is what
-/// licenses using it by default.
+/// Proves the compiled, pre-decoded ExecPlan run by the threaded engine is
+/// indistinguishable from the tree-walking interpreter on all three
+/// abstraction levels (linalg.generic, accel ops, axirt runtime calls):
+/// identical output buffers AND bit-identical HostPerfModel counters. The
+/// threaded engine is the measurement engine for every figure bench, so
+/// this equivalence is what licenses using it by default.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/PlanAnalyses.h"
 #include "dialects/InitAllDialects.h"
 #include "exec/AccelConfigs.h"
 #include "exec/ExecPlan.h"
@@ -21,6 +22,7 @@
 #include "exec/Pipeline.h"
 #include "exec/Reference.h"
 #include "exec/opt/PlanOpt.h"
+#include "ir/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -48,6 +50,24 @@ void expectIdenticalReports(const sim::PerfReport &Walker,
   EXPECT_EQ(Walker.DmaTransfers, Plan.DmaTransfers);
   EXPECT_EQ(Walker.DmaBytesMoved, Plan.DmaBytesMoved);
   EXPECT_EQ(Walker.TaskClockMs, Plan.TaskClockMs);
+}
+
+/// Runs \p Func on \p Args through \p Mode on a fresh CPU-only system; a
+/// threaded run exposes its decoded plan, binding \p Kernels micro-kernels.
+sim::PerfReport runOn(ExecMode Mode, func::FuncOp Func,
+                      const std::vector<MemRefDesc> &Args,
+                      unsigned Kernels = 0) {
+  auto Soc = sim::makeCpuOnlySoC();
+  Interpreter Interp(*Soc, nullptr, Mode);
+  EXPECT_EQ(Interp.decodedPlan(), nullptr);
+  std::string Error;
+  EXPECT_TRUE(succeeded(Interp.run(Func, Args, Error))) << Error;
+  const DecodedPlan *Decoded = Interp.decodedPlan();
+  EXPECT_EQ(Decoded != nullptr, Mode == ExecMode::Threaded);
+  if (Decoded) {
+    EXPECT_EQ(Decoded->numSpecializedKernels(), Kernels);
+  }
+  return Soc->report();
 }
 
 /// How far to lower the matmul before execution.
@@ -113,23 +133,23 @@ void checkMatMulEquivalence(Level L, int64_t M, int64_t N, int64_t K,
   MemRefDesc B = MemRefDesc::alloc({K, N}, Kind);
   MemRefDesc C = MemRefDesc::alloc({M, N}, Kind);
 
-  auto runOnce = [&](bool UseCompiledPlan) -> sim::PerfReport {
+  auto runOnce = [&](ExecMode Mode) -> sim::PerfReport {
     fillRandom(A, 21);
     fillRandom(B, 22);
     fillRandom(C, 23);
     Soc->resetCounters();
-    Interpreter Interp(*Soc, Runtime.get(), UseCompiledPlan);
+    Interpreter Interp(*Soc, Runtime.get(), Mode);
     std::string Error;
     EXPECT_TRUE(succeeded(Interp.run(Func, {A, B, C}, Error))) << Error;
     return Soc->report();
   };
 
-  runOnce(/*UseCompiledPlan=*/false); // allocator warm-up
-  sim::PerfReport Walker = runOnce(/*UseCompiledPlan=*/false);
+  runOnce(ExecMode::Walker); // allocator warm-up
+  sim::PerfReport Walker = runOnce(ExecMode::Walker);
   MemRefDesc WalkerC = cloneMemRef(C);
-  sim::PerfReport Plan = runOnce(/*UseCompiledPlan=*/true);
+  sim::PerfReport Threaded = runOnce(ExecMode::Threaded);
   EXPECT_TRUE(memrefEquals(WalkerC, C));
-  expectIdenticalReports(Walker, Plan);
+  expectIdenticalReports(Walker, Threaded);
 }
 
 //===----------------------------------------------------------------------===//
@@ -172,24 +192,20 @@ TEST(ExecPlan, GenericConvEquivalence) {
   ASSERT_TRUE(succeeded(transforms::convertNamedToGeneric(Func, Error)))
       << Error;
 
-  auto Soc = sim::makeCpuOnlySoC();
   MemRefDesc I = MemRefDesc::alloc({1, 3, 9, 9});
   MemRefDesc W = MemRefDesc::alloc({2, 3, 3, 3});
   MemRefDesc O = MemRefDesc::alloc({1, 2, 4, 4});
-  auto runOnce = [&](bool UseCompiledPlan) -> sim::PerfReport {
+  auto runOnce = [&](ExecMode Mode) {
     fillRandom(I, 31);
     fillRandom(W, 32);
     fillRandom(O, 33);
-    Soc->resetCounters();
-    Interpreter Interp(*Soc, nullptr, UseCompiledPlan);
-    EXPECT_TRUE(succeeded(Interp.run(Func, {I, W, O}, Error))) << Error;
-    return Soc->report();
+    return runOn(Mode, Func, {I, W, O}, /*Kernels=*/1); // conv mul+add
   };
-  sim::PerfReport Walker = runOnce(false);
+  sim::PerfReport Walker = runOnce(ExecMode::Walker);
   MemRefDesc WalkerO = cloneMemRef(O);
-  sim::PerfReport Plan = runOnce(true);
+  sim::PerfReport Threaded = runOnce(ExecMode::Threaded);
   EXPECT_TRUE(memrefEquals(WalkerO, O));
-  expectIdenticalReports(Walker, Plan);
+  expectIdenticalReports(Walker, Threaded);
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,6 +237,7 @@ TEST(ExecPlan, ReusedAcrossRunsWithIdenticalCounters) {
   ASSERT_TRUE(succeeded(transforms::convertNamedToGeneric(Func, Error)));
   auto Plan = ExecPlan::compile(Func, Error);
   ASSERT_NE(Plan, nullptr) << Error;
+  auto Decoded = DecodedPlan::decode(*Plan);
 
   // Two executions of one plan on fresh systems: independent, identical.
   sim::PerfReport Reports[2];
@@ -234,7 +251,7 @@ TEST(ExecPlan, ReusedAcrossRunsWithIdenticalCounters) {
     fillRandom(C, 3);
     MemRefDesc Expected = cloneMemRef(C);
     referenceMatMul(A, B, Expected);
-    ASSERT_TRUE(succeeded(Plan->run(*Soc, nullptr, {A, B, C}, Error)))
+    ASSERT_TRUE(succeeded(Decoded->run(*Soc, nullptr, {A, B, C}, Error)))
         << Error;
     EXPECT_TRUE(memrefEquals(Expected, C));
     Reports[Run] = Soc->report();
@@ -243,9 +260,8 @@ TEST(ExecPlan, ReusedAcrossRunsWithIdenticalCounters) {
 }
 
 /// Send/wait fusion: the axirt lowering emits every start_send/start_recv
-/// immediately followed by its wait, so the fused plan must collapse all
-/// of them — and stay observably identical (same output buffer, bit-equal
-/// perf counters) to the unfused plan.
+/// right before its wait, so the plan must fuse all of them — and the
+/// threaded engine running it must stay observably identical to the walker.
 TEST(ExecPlan, FusesSendWaitPairs) {
   MLIRContext Context;
   registerAllDialects(Context);
@@ -257,41 +273,15 @@ TEST(ExecPlan, FusesSendWaitPairs) {
   ASSERT_TRUE(lowerMatMul(Func, Level::Axirt, Accel));
 
   std::string Error;
-  auto Unfused = ExecPlan::compile(Func, Error, /*FuseTransferPairs=*/false);
-  ASSERT_NE(Unfused, nullptr) << Error;
-  auto Fused = ExecPlan::compile(Func, Error);
-  ASSERT_NE(Fused, nullptr) << Error;
+  auto Plan = ExecPlan::compile(Func, Error);
+  ASSERT_NE(Plan, nullptr) << Error;
+  std::string Text = Plan->printToString();
+  EXPECT_NE(Text.find(": send end="), std::string::npos) << Text;
+  EXPECT_NE(Text.find(": recv len="), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("start_"), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("wait_"), std::string::npos) << Text;
 
-  EXPECT_EQ(Unfused->numFusedSends(), 0u);
-  EXPECT_EQ(Unfused->numFusedRecvs(), 0u);
-  EXPECT_GT(Fused->numFusedSends(), 0u);
-  EXPECT_GT(Fused->numFusedRecvs(), 0u);
-  // Each fused pair removes exactly one instruction.
-  EXPECT_EQ(Fused->numInstructions() + Fused->numFusedSends() +
-                Fused->numFusedRecvs(),
-            Unfused->numInstructions());
-
-  auto Soc = sim::makeMatMulSoC(V::V3, 8);
-  runtime::DmaRuntime Runtime(*Soc);
-  MemRefDesc A = MemRefDesc::alloc({16, 16});
-  MemRefDesc B = MemRefDesc::alloc({16, 16});
-  MemRefDesc C = MemRefDesc::alloc({16, 16});
-  auto runOnce = [&](const ExecPlan &Plan) -> sim::PerfReport {
-    fillRandom(A, 41);
-    fillRandom(B, 42);
-    fillRandom(C, 43);
-    Soc->resetCounters();
-    std::string RunError;
-    EXPECT_TRUE(succeeded(Plan.run(*Soc, &Runtime, {A, B, C}, RunError)))
-        << RunError;
-    return Soc->report();
-  };
-  runOnce(*Unfused); // allocator warm-up (see checkMatMulEquivalence)
-  sim::PerfReport UnfusedReport = runOnce(*Unfused);
-  MemRefDesc UnfusedC = cloneMemRef(C);
-  sim::PerfReport FusedReport = runOnce(*Fused);
-  EXPECT_TRUE(memrefEquals(UnfusedC, C));
-  expectIdenticalReports(UnfusedReport, FusedReport);
+  checkMatMulEquivalence(Level::Axirt, 16, 16, 16, 8);
 }
 
 TEST(ExecPlan, DiagnosticsMatchWalker) {
@@ -310,7 +300,7 @@ TEST(ExecPlan, DiagnosticsMatchWalker) {
 
   auto Soc = sim::makeCpuOnlySoC();
   std::string WalkerError;
-  Interpreter Walker(*Soc, nullptr, /*UseCompiledPlan=*/false);
+  Interpreter Walker(*Soc, nullptr, ExecMode::Walker);
   EXPECT_TRUE(failed(Walker.run(Func, {}, WalkerError)));
   EXPECT_EQ(PlanError, WalkerError);
 }
@@ -605,7 +595,7 @@ TEST(PlanDisassembly, ConvAfterFullPipeline) {
 //===----------------------------------------------------------------------===//
 // Golden disassembly of the pre-decoded (dispatch-ready) form: the
 // threaded engine's view of the same programs. Shared opcodes print with
-// the plan-interpreter mnemonics; specialized linalg.generic sites print
+// the ExecPlan::print mnemonics; specialized linalg.generic sites print
 // their bound micro-kernel.
 //===----------------------------------------------------------------------===//
 
@@ -680,35 +670,127 @@ TEST(DecodedDisassembly, CpuConvBindsMulAddKernel) {
             "    1: ret\n");
 }
 
-/// The Interpreter exposes the pre-decoded program of its cached plan
-/// after a threaded-mode run (null before, and in other modes).
-TEST(DecodedDisassembly, InterpreterExposesDecodedPlan) {
+//===----------------------------------------------------------------------===//
+// Shared semantics (sim/Semantics.h)
+//===----------------------------------------------------------------------===//
+
+/// The parser-corpus loop whose induction variable would step past
+/// INT64_MAX: the trip-count analysis and both engines stop after two.
+TEST(ExecPlan, LoopStepPastInt64MaxRunsTwoIterations) {
   MLIRContext Context;
   registerAllDialects(Context);
-  OpBuilder Builder(&Context);
-  func::FuncOp Func = buildMatMulFunc(Builder, 4, 4, 4, sim::ElemKind::I32);
-  OwningOpRef Owner(Func.getOperation());
   std::string Error;
-  ASSERT_TRUE(succeeded(transforms::convertNamedToGeneric(Func, Error)))
-      << Error;
+  auto Parsed = parseSourceFile(
+      AXI4MLIR_SOURCE_DIR "/tests/corpus/parser/hostile_loop_step.mlir",
+      &Context, &Error);
+  ASSERT_TRUE(succeeded(Parsed)) << Error;
+  func::FuncOp Func(Parsed->get());
+  auto Plan = ExecPlan::compile(Func, Error);
+  ASSERT_NE(Plan, nullptr) << Error;
+  analysis::SlotFacts Facts(Plan->numSlots());
+  for (const auto &I : analysis::PlanView(*Plan).program()) {
+    if (I.Code == analysis::PlanView::Op::ConstInt) {
+      Facts.Known[I.Dst] = 1;
+      Facts.Value[I.Dst] = I.Imm;
+    } else if (I.Code == analysis::PlanView::Op::LoopBegin) {
+      EXPECT_EQ(analysis::constTripCount(I, Facts), 2);
+    }
+  }
+  for (ExecMode Mode : {ExecMode::Walker, ExecMode::Threaded}) {
+    MemRefDesc Buffer = MemRefDesc::alloc({1});
+    sim::PerfReport Report = runOn(Mode, Func, {Buffer});
+    EXPECT_EQ(Report.BranchInstructions, 2u); // one per loop iteration
+    EXPECT_EQ(Report.Stores, 2u);
+  }
+}
 
-  auto Soc = sim::makeCpuOnlySoC();
-  std::vector<MemRefDesc> Args = {MemRefDesc::alloc({4, 4}),
-                                  MemRefDesc::alloc({4, 4}),
-                                  MemRefDesc::alloc({4, 4})};
-  for (size_t I = 0; I < Args.size(); ++I)
-    fillRandom(Args[I], static_cast<uint32_t>(3 + I));
+/// Every BinKind x {i32, f32} over a table of operand pairs: the walker,
+/// the threaded Binary handler (scalar loop), the eltwise micro-kernel
+/// (linalg.generic) and the constant folder (integer results) agree.
+TEST(ExecPlan, SemanticsAgreeAcrossEngines) {
+  const std::string Template = R"(func.func() ({
+^bb(%arg0: $M, %arg1: $M, %arg2: $M, %arg3: $M):
+  linalg.generic(%arg0, %arg1, %arg2) ({
+  ^bb(%arg4: $T, %arg5: $T, %arg6: $T):
+    %0 = $OP(%arg4, %arg5) : ($T, $T) -> ($T)
+    linalg.yield(%0) : ($T) -> ()
+  }) {indexing_maps = [affine_map<(d0) -> (d0)>, affine_map<(d0) -> (d0)>, affine_map<(d0) -> (d0)>], iterator_types = ["parallel"], num_inputs = 2} : ($M, $M, $M) -> ()
+  %1 = arith.constant() {value = 0 : index} : () -> (index)
+  %2 = arith.constant() {value = $N : index} : () -> (index)
+  %3 = arith.constant() {value = 1 : index} : () -> (index)
+  scf.for(%1, %2, %3) ({
+  ^bb(%arg7: index):
+    %4 = memref.load(%arg0, %arg7) : ($M, index) -> ($T)
+    %5 = memref.load(%arg1, %arg7) : ($M, index) -> ($T)
+    %6 = $OP(%4, %5) : ($T, $T) -> ($T)
+    memref.store(%6, %arg3, %arg7) : ($T, $M, index) -> ()
+    scf.yield() : () -> ()
+  }) : (index, index, index) -> ()
+  func.return() : () -> ()
+}) {function_type = ($M, $M, $M, $M) -> (), sym_name = "table"} : () -> ())";
+  const int64_t Values[] = {-7, -1, 0, 3, int64_t(1) << 20};
+  const char *Names[] = {"add", "mul", "sub", "divf", "maxf"};
+  for (sim::ElemKind Kind : {sim::ElemKind::I32, sim::ElemKind::F32}) {
+    bool IsF32 = Kind == sim::ElemKind::F32;
+    for (uint8_t Op = 0; Op < 5; ++Op) {
+      std::string Name = std::string("arith.") + Names[Op] +
+                         (Op < 3 ? (IsF32 ? "f" : "i") : "");
+      SCOPED_TRACE(Name + (IsF32 ? " f32" : " i32"));
+      // An f32 zero divisor is in the table (inf, nan); an i32 one would
+      // convert inf to int64, which is undefined.
+      std::vector<std::pair<int64_t, int64_t>> Pairs;
+      for (int64_t A : Values)
+        for (int64_t B : Values)
+          if (IsF32 || Op != uint8_t(sim::BinKind::Div) || B != 0)
+            Pairs.push_back({A, B});
+      int64_t N = static_cast<int64_t>(Pairs.size());
+      std::string Source = Template;
+      for (auto [Key, Value] :
+           {std::pair<std::string, std::string>{"$OP", Name},
+            {"$M", "memref<" + std::to_string(N) + (IsF32 ? "xf32>" : "xi32>")},
+            {"$T", IsF32 ? "f32" : "i32"},
+            {"$N", std::to_string(N)}})
+        for (size_t At; (At = Source.find(Key)) != std::string::npos;)
+          Source.replace(At, Key.size(), Value);
+      MLIRContext Context;
+      registerAllDialects(Context);
+      std::string Error;
+      auto Parsed = parseSourceString(Source, &Context, &Error);
+      ASSERT_TRUE(succeeded(Parsed)) << Error;
 
-  Interpreter Interp(*Soc, nullptr); // defaults to ExecMode::Threaded
-  EXPECT_EQ(Interp.execMode(), ExecMode::Threaded);
-  EXPECT_EQ(Interp.decodedPlan(), nullptr);
-  ASSERT_TRUE(succeeded(Interp.run(Func, Args, Error))) << Error;
-  ASSERT_NE(Interp.decodedPlan(), nullptr);
-  EXPECT_EQ(Interp.decodedPlan()->numSpecializedKernels(), 1u);
-
-  Interpreter PlanInterp(*Soc, nullptr, ExecMode::Plan);
-  ASSERT_TRUE(succeeded(PlanInterp.run(Func, Args, Error))) << Error;
-  EXPECT_EQ(PlanInterp.decodedPlan(), nullptr);
+      // Per engine: {lhs, rhs, generic out, scalar out}.
+      auto runEngine = [&](ExecMode Mode) {
+        std::vector<MemRefDesc> Args;
+        for (int K = 0; K < 4; ++K)
+          Args.push_back(MemRefDesc::alloc({N}, Kind));
+        for (int64_t P = 0; P < N; ++P) {
+          Args[0].Buffer->Data[P] = sim::valueToWord(Pairs[P].first, Kind);
+          Args[1].Buffer->Data[P] = sim::valueToWord(Pairs[P].second, Kind);
+        }
+        runOn(Mode, func::FuncOp(Parsed->get()), Args, /*Kernels=*/1);
+        return Args;
+      };
+      std::vector<MemRefDesc> Walker = runEngine(ExecMode::Walker);
+      std::vector<MemRefDesc> Threaded = runEngine(ExecMode::Threaded);
+      for (int64_t P = 0; P < N; ++P) {
+        SCOPED_TRACE(std::to_string(Pairs[P].first) + ", " +
+                     std::to_string(Pairs[P].second));
+        uint32_t Word = Walker[3].Buffer->Data[P];
+        EXPECT_EQ(Walker[2].Buffer->Data[P], Word) << "walker generic";
+        EXPECT_EQ(Threaded[2].Buffer->Data[P], Word) << "eltwise kernel";
+        EXPECT_EQ(Threaded[3].Buffer->Data[P], Word) << "threaded Binary";
+        if (IsF32)
+          continue;
+        analysis::PlanView::Inst I{analysis::PlanView::Op::Binary, Op, 2, 0, 1};
+        analysis::SlotFacts Facts(3);
+        Facts.Known = {1, 1, 0};
+        Facts.Value = {Pairs[P].first, Pairs[P].second, 0};
+        int64_t Folded = 0;
+        ASSERT_TRUE(analysis::evalConstDst(I, Facts, Folded));
+        EXPECT_EQ(sim::intToWord(Folded), Word) << "constant folder";
+      }
+    }
+  }
 }
 
 } // namespace

@@ -186,7 +186,7 @@ TEST(Interpreter, ErrorsOnBadInput) {
 
 /// Builds a trivial "store 7 into every element" function over a buffer
 /// of \p Size elements, named \p Name. Distinct functions give the plan
-/// cache distinct keys.
+/// memo distinct keys.
 func::FuncOp makeFillFunc(InterpFixture &F, const char *Name, int64_t Size) {
   MemRefType Ty =
       MemRefType::get(&F.Context, {Size}, Type::getI32(&F.Context));
@@ -210,19 +210,14 @@ func::FuncOp makeFillFunc(InterpFixture &F, const char *Name, int64_t Size) {
   return Func;
 }
 
-TEST(Interpreter, PlanCacheLruBoundsAndCounters) {
+TEST(Interpreter, PlanMemoHitsAndReplacements) {
   InterpFixture F;
   func::FuncOp A = makeFillFunc(F, "a", 8);
   OwningOpRef OwnA(A.getOperation());
   func::FuncOp B = makeFillFunc(F, "b", 9);
   OwningOpRef OwnB(B.getOperation());
-  func::FuncOp C = makeFillFunc(F, "c", 10);
-  OwningOpRef OwnC(C.getOperation());
 
   Interpreter Interp(*F.Soc, nullptr);
-  Interp.setPlanCacheCapacity(2);
-  EXPECT_EQ(Interp.planCacheCapacity(), 2u);
-
   auto run = [&](func::FuncOp Func, int64_t Size) {
     MemRefDesc Buffer = MemRefDesc::alloc({Size});
     std::string Error;
@@ -231,21 +226,14 @@ TEST(Interpreter, PlanCacheLruBoundsAndCounters) {
       EXPECT_EQ(Buffer.Buffer->Data[size_t(I)], 7u);
   };
   run(A, 8); // miss (cold)
-  run(A, 8); // hit
-  run(B, 9); // miss
-  run(C, 10); // miss, evicts LRU "a" (capacity 2)
-  run(A, 8); // miss again: proves "a" was evicted; evicts "b"
-  EXPECT_EQ(Interp.planCacheSize(), 2u);
+  run(A, 8); // hit: same function
+  run(B, 9); // miss: other function, replaces "a"
+  run(A, 8); // miss again: proves "a" was replaced; replaces "b"
 
   sim::PerfReport Report = F.Soc->report();
   EXPECT_EQ(Report.PlanCacheHits, 1u);
-  EXPECT_EQ(Report.PlanCacheMisses, 4u);
+  EXPECT_EQ(Report.PlanCacheMisses, 3u);
   EXPECT_EQ(Report.PlanCacheEvictions, 2u);
-
-  // Shrinking below the population evicts immediately.
-  Interp.setPlanCacheCapacity(1);
-  EXPECT_EQ(Interp.planCacheSize(), 1u);
-  EXPECT_EQ(F.Soc->report().PlanCacheEvictions, 3u);
 }
 
 TEST(Interpreter, UnknownOpIsDiagnosed) {

@@ -6,13 +6,11 @@
 ///
 /// \file
 /// The equivalence harness pinning src/exec/opt and the threaded engine:
-/// every driver is executed by the legacy walker, the unoptimized plan,
-/// each optimizer pass on its own, and the full pipeline — against the
-/// SAME simulated SoC and the SAME argument buffers (refilled from fixed
-/// seeds, counters reset between runs) — and every configuration runs a
-/// third time through the threaded-dispatch executor, which must match
-/// the plan interpreter's buffers and address-independent counters bit
-/// for bit. Output buffers must be bit-identical in every configuration.
+/// every driver is executed by the tree walker and, through the threaded
+/// engine, as the unoptimized plan, each optimizer pass on its own, and
+/// the full pipeline — against the SAME simulated SoC and the SAME
+/// argument buffers (refilled from fixed seeds, counters reset between
+/// runs). Output buffers must be bit-identical in every configuration.
 /// Counters are held to the pass contracts (PlanOpt.h):
 /// a run whose PlanOptStats report no counter-changing rewrites must
 /// reproduce the walker's HostPerfModel/DMA/cache counters bit for bit;
@@ -147,9 +145,8 @@ void expectIdenticalReport(const sim::PerfReport &Walker,
   }
 }
 
-/// Runs one case through walker, plan-none, each single pass, and the
-/// full pipeline, asserting the contracts. Returns false when the
-/// lowering itself failed (reported via ADD_FAILURE).
+/// Runs one case through the walker and the threaded engine at plan-none,
+/// each single pass, and the full pipeline, asserting the contracts.
 void checkCase(const FuzzCase &Case) {
   SCOPED_TRACE(Case.describe());
   MLIRContext Context;
@@ -217,16 +214,15 @@ void checkCase(const FuzzCase &Case) {
     Args.push_back(MemRefDesc::alloc({Case.M, Case.N}, Case.Kind));
   }
 
-  // All executors share the SoC and buffers: the cache simulator keys on
+  // Both executors share the SoC and buffers: the cache simulator keys on
   // real host addresses, so distinct allocations would legitimately
   // diverge. Bit-identical cache counters additionally require the host
   // heap itself to be in steady state when a driver allocates staging
   // buffers mid-run (pad remainders): plan compilation, the optimizer and
   // pre-decode churn the allocator, so each spec is measured as its own
-  // (walker warm-up, plan warm-up, threaded warm-up, walker, plan,
-  // threaded) sextuple — the warm-ups compile/decode and settle the
-  // allocator, and the measured runs are then execution-only on the
-  // same heap.
+  // (walker warm-up, threaded warm-up, walker, threaded) quadruple — the
+  // warm-ups compile/decode and settle the allocator, and the measured
+  // runs are then execution-only on the same heap.
   auto runOnce = [&](Interpreter &Interp) -> sim::PerfReport {
     for (size_t I = 0; I < Args.size(); ++I)
       fillRandom(Args[I], static_cast<uint32_t>(91 + I));
@@ -241,7 +237,7 @@ void checkCase(const FuzzCase &Case) {
     opt::PlanOptOptions Options;
   };
   std::vector<PassSpec> Specs;
-  // Unoptimized plan first: the PR-3 bit-identical guarantee.
+  // Unoptimized plan first: the bit-identical guarantee.
   Specs.push_back({"none", opt::PlanOptOptions::none()});
   {
     opt::PlanOptOptions O;
@@ -289,27 +285,15 @@ void checkCase(const FuzzCase &Case) {
 
   for (const PassSpec &Spec : Specs) {
     Interpreter WalkerInterp(*Soc, &Runtime, ExecMode::Walker);
-    Interpreter PlanInterp(*Soc, &Runtime, ExecMode::Plan);
     Interpreter ThreadedInterp(*Soc, &Runtime, ExecMode::Threaded);
-    PlanInterp.setPlanOptions(Spec.Options);
     ThreadedInterp.setPlanOptions(Spec.Options);
     runOnce(WalkerInterp);
-    runOnce(PlanInterp);     // compiles + optimizes; plan cached
     runOnce(ThreadedInterp); // compiles + optimizes + pre-decodes
     sim::PerfReport Walker = runOnce(WalkerInterp);
     snapshotBuffers();
-    sim::PerfReport Optimized = runOnce(PlanInterp);
+    sim::PerfReport Optimized = runOnce(ThreadedInterp);
     checkBuffers(Spec.Name);
-    // Third column: the threaded engine executes the SAME optimized plan
-    // pre-decoded; its buffers and counters must match the plan
-    // interpreter bit for bit on every case, optimized or not.
-    snapshotBuffers();
-    sim::PerfReport Threaded = runOnce(ThreadedInterp);
-    checkBuffers(std::string(Spec.Name) + " threaded");
-    expectIdenticalReport(Optimized, Threaded,
-                          std::string(Spec.Name) + " threaded-vs-plan",
-                          StableAddresses);
-    const opt::PlanOptStats &Stats = PlanInterp.planOptStats();
+    const opt::PlanOptStats &Stats = ThreadedInterp.planOptStats();
     EXPECT_TRUE(Stats.VerifyError.empty())
         << "after " << Stats.VerifyFailedPass << ": " << Stats.VerifyError;
 

@@ -42,7 +42,6 @@ namespace {
 /// level against a v3 8-tile accelerator, and compiles the ExecPlan the
 /// tests then corrupt. Returns nullptr (with ADD_FAILURE) on any error.
 std::unique_ptr<ExecPlan> compilePlan(parser::AcceleratorDesc &AccelOut,
-                                      bool FuseTransferPairs = true,
                                       const std::string &Flow = "Ns") {
   MLIRContext Context;
   registerAllDialects(Context);
@@ -62,7 +61,7 @@ std::unique_ptr<ExecPlan> compilePlan(parser::AcceleratorDesc &AccelOut,
     ADD_FAILURE() << "lowering failed: " << Error;
     return nullptr;
   }
-  auto Plan = ExecPlan::compile(Func, Error, FuseTransferPairs);
+  auto Plan = ExecPlan::compile(Func, Error);
   if (!Plan)
     ADD_FAILURE() << "plan compilation failed: " << Error;
   return Plan;
@@ -123,14 +122,6 @@ TEST(PlanVerify, CleanPlanVerifiesAtEveryStage) {
       << "after " << Stats.VerifyFailedPass << ": " << Stats.VerifyError;
   analysis::VerifyResult Optimized = analysis::verifyPlan(*Plan, Options);
   EXPECT_TRUE(Optimized.Errors.empty()) << Optimized.toString();
-}
-
-TEST(PlanVerify, UnfusedPlanVerifiesClean) {
-  parser::AcceleratorDesc Accel;
-  auto Plan = compilePlan(Accel, /*FuseTransferPairs=*/false);
-  ASSERT_TRUE(Plan);
-  analysis::VerifyResult Result = analysis::verifyPlan(*Plan);
-  EXPECT_TRUE(Result.Errors.empty()) << Result.toString();
 }
 
 //===----------------------------------------------------------------------===//

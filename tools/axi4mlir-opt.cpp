@@ -77,7 +77,7 @@ struct CliOptions {
   /// ExecPlan optimizer passes for --run ("none", "all" or a comma list
   /// of fold/dce/licm/coalesce).
   exec::opt::PlanOptOptions PlanOpt;
-  /// Execution engine for --run: walker, plan or threaded (default).
+  /// Execution engine for --run: walker or threaded (default).
   exec::ExecMode Exec = exec::ExecMode::Threaded;
   transforms::RemainderMode Remainder = transforms::RemainderMode::Pad;
   /// --faults spec merged over the config file's `faults` section.
@@ -101,7 +101,7 @@ void printUsage(std::FILE *Out) {
       "                    [--no-cpu-tiling] [--no-specialize]\n"
       "                    [--remainder pad|peel|reject]\n"
       "                    [--plan-opt none|all|fold,dce,licm,coalesce]\n"
-      "                    [--exec walker|plan|threaded]\n"
+      "                    [--exec walker|threaded]\n"
       "                    [--verify-plan[=strict]] [--verify-each]\n"
       "                    [--faults SPEC] [--spares N]\n"
       "  --verify-plan: statically verify the compiled plan (slot\n"
