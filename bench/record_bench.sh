@@ -51,8 +51,8 @@ src, dst, label, filt = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4]
 with open(src) as f:
     run = json.load(f)
 # Drop volatile context fields so diffs track the numbers, not the host.
-run.get("context", {}).pop("date", None)
-run.get("context", {}).pop("load_avg", None)
+for field in ("date", "load_avg", "executable"):
+    run.get("context", {}).pop(field, None)
 try:
     with open(dst) as f:
         trajectory = json.load(f)

@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/PlanVerifier.h"
+#include "analysis/ProtocolModel.h"
 #include "dialects/InitAllDialects.h"
 #include "exec/AccelConfigs.h"
 #include "exec/ExecPlan.h"
@@ -26,6 +28,8 @@
 #include "transforms/Passes.h"
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 using namespace axi4mlir;
 using namespace axi4mlir::sim;
@@ -449,6 +453,77 @@ void BM_ExecPlanCompile(benchmark::State &State) {
     benchmark::DoNotOptimize(exec::ExecPlan::compile(Func, Error));
 }
 
+/// The static-analysis layers of one axi4mlir-opt --verify-plan=strict
+/// --plan-opt=all compile: a driver lowered with the default options
+/// (CPU tiling on) and compiled to an ExecPlan, plus its protocol model.
+struct DriverPlanFixture {
+  std::unique_ptr<exec::ExecPlan> Plan;
+  std::optional<analysis::ProtocolModel> Model;
+
+  /// Returns false (after SkipWithError) on a pipeline failure.
+  bool init(benchmark::State &State, bool Conv) {
+    MLIRContext Context;
+    registerAllDialects(Context);
+    OpBuilder Builder(&Context);
+    func::FuncOp Func =
+        Conv ? exec::buildConvFunc(Builder, 1, 16, 16, 8, 3, 1,
+                                   ElemKind::I32)
+             : exec::buildMatMulFunc(Builder, 64, 64, 64, ElemKind::I32);
+    OwningOpRef Owner(Func.getOperation());
+    parser::AcceleratorDesc Accel = exec::parseSingleAccelerator(
+        Conv ? exec::makeConvConfigJson()
+             : exec::makeMatMulConfigJson(MatMulAccelerator::Version::V3,
+                                          16, "As"));
+    std::string Error;
+    transforms::LoweringOptions Options;
+    if (failed(transforms::convertNamedToGeneric(Func, Error)) ||
+        failed(transforms::matchAndAnnotate(Func, Accel, Error)) ||
+        failed(transforms::lowerToAccel(Func, Options, Error)) ||
+        failed(transforms::convertAccelToRuntime(Func, Error)) ||
+        !(Plan = exec::ExecPlan::compile(Func, Error))) {
+      State.SkipWithError(Error.c_str());
+      return false;
+    }
+    auto Built = analysis::ProtocolModel::forAccelerator(Accel, Error);
+    if (failed(Built)) {
+      State.SkipWithError(Error.c_str());
+      return false;
+    }
+    Model.emplace(*Built);
+    return true;
+  }
+};
+
+/// Strict plan verification with the protocol model (Arg 0: the 64^3
+/// v3_16 As matmul driver, Arg 1: a 16-channel conv driver).
+void BM_VerifyPlanStrict(benchmark::State &State) {
+  DriverPlanFixture F;
+  if (!F.init(State, State.range(0) == 1))
+    return;
+  analysis::VerifyOptions Options;
+  Options.Strict = true;
+  Options.Model = &*F.Model;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(analysis::verifyPlan(*F.Plan, Options));
+}
+
+/// The full optimizer pipeline (fold, licm, coalesce, dce; no
+/// verify-each) over a fresh copy of the same drivers per iteration.
+void BM_OptimizePlanAll(benchmark::State &State) {
+  DriverPlanFixture F;
+  if (!F.init(State, State.range(0) == 1))
+    return;
+  exec::opt::PlanOptOptions Options = exec::opt::PlanOptOptions::all();
+  Options.VerifyEach = false;
+  exec::opt::PlanOptStats Stats;
+  for (auto _ : State) {
+    exec::ExecPlan Work = *F.Plan;
+    Stats = exec::opt::optimizePlan(Work, Options);
+    benchmark::DoNotOptimize(Work);
+  }
+  State.counters["opt_rewrites"] = static_cast<double>(Stats.total());
+}
+
 } // namespace
 
 BENCHMARK(BM_CopyToDmaGeneric)->Arg(8)->Arg(16)->Arg(64);
@@ -467,5 +542,7 @@ BENCHMARK(BM_ExecPlanAxirtPlanOptNone)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtOptimized)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtThreaded)->Arg(64);
 BENCHMARK(BM_ExecPlanCompile)->Arg(32);
+BENCHMARK(BM_VerifyPlanStrict)->Arg(0)->Arg(1);
+BENCHMARK(BM_OptimizePlanAll)->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

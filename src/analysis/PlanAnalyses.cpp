@@ -106,15 +106,10 @@ bool analysis::evalConstDst(const Inst &I, const SlotFacts &Facts,
   }
   case Op::CallCopyLiteralToDma:
     // Result is the end offset: offset + one staged word.
-    if (!Facts.isConst(I.B))
-      return false;
-    Out = Facts.Value[I.B] + 1;
-    return true;
+    return Facts.isConst(I.B) && rangeEnd(Facts.Value[I.B], 1, Out);
   case Op::CallCopyToDma:
-    if (!Facts.isConst(I.B) || I.A < 0 || !Facts.SizeKnown[I.A])
-      return false;
-    Out = Facts.Value[I.B] + Facts.Count[I.A];
-    return true;
+    return Facts.isConst(I.B) && I.A >= 0 && Facts.SizeKnown[I.A] &&
+           rangeEnd(Facts.Value[I.B], Facts.Count[I.A], Out);
   default:
     return false;
   }
@@ -134,19 +129,14 @@ int64_t analysis::constTripCount(const Inst &LoopBegin,
 
 bool analysis::inputWriteRange(const Inst &I, const SlotFacts &Facts,
                                WordRange &R) {
-  if (I.Code == Op::CallCopyLiteralToDma) {
-    if (!Facts.isConst(I.B))
-      return false;
-    R = {Facts.Value[I.B], Facts.Value[I.B] + 1};
-    return true;
-  }
-  if (I.Code == Op::CallCopyToDma) {
-    if (!Facts.isConst(I.B) || I.A < 0 || !Facts.SizeKnown[I.A])
-      return false;
-    R = {Facts.Value[I.B], Facts.Value[I.B] + Facts.Count[I.A]};
-    return true;
-  }
-  return false;
+  if (I.Code != Op::CallCopyLiteralToDma && I.Code != Op::CallCopyToDma)
+    return false;
+  // The instruction's result is its staging end offset.
+  int64_t End = 0;
+  if (!evalConstDst(I, Facts, End))
+    return false;
+  R = {Facts.Value[I.B], End};
+  return true;
 }
 
 bool analysis::sendRange(const Inst &I, const SlotFacts &Facts,
@@ -186,14 +176,16 @@ int64_t analysis::staticElementCount(const PlanView &Plan, const Inst &I) {
         static_cast<size_t>(I.Aux) >= Plan.subViews().size())
       return -1;
     for (int64_t S : Plan.subViews()[I.Aux].StaticSizes)
-      Count *= S;
+      if (__builtin_mul_overflow(Count, S, &Count))
+        return -1;
     return Count;
   }
   if (I.Code == Op::Alloc) {
     if (I.Aux < 0 || static_cast<size_t>(I.Aux) >= Plan.allocs().size())
       return -1;
     for (int64_t S : Plan.allocs()[I.Aux].Shape)
-      Count *= S;
+      if (__builtin_mul_overflow(Count, S, &Count))
+        return -1;
     return Count;
   }
   return -1;

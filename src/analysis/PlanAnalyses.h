@@ -41,6 +41,14 @@ struct WordRange {
   int64_t size() const { return End - Begin; }
 };
 
+/// `Begin + Count`, the end of the word range starting at \p Begin;
+/// false when it is not representable (the range would run past the
+/// largest offset). Hostile plans reach this with any constant they like,
+/// so range arithmetic never adds offsets unchecked.
+inline bool rangeEnd(int64_t Begin, int64_t Count, int64_t &End) {
+  return !__builtin_add_overflow(Begin, Count, &End);
+}
+
 /// Per-slot facts: constant values (ints only) and static memref element
 /// counts. Populated by a client-driven fixpoint (the optimizer walks its
 /// node tree, the verifier walks the flat program); the queries below
@@ -94,7 +102,7 @@ int64_t inputRegionWords(const PlanView &Plan);
 int64_t outputRegionWords(const PlanView &Plan);
 
 /// Static element count of an Alloc/SubView result, or -1 for any other
-/// instruction.
+/// instruction (and when the count overflows int64).
 int64_t staticElementCount(const PlanView &Plan, const PlanView::Inst &I);
 
 } // namespace analysis

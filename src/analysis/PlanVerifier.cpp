@@ -22,7 +22,9 @@
 #include "analysis/PlanAnalyses.h"
 #include "analysis/PlanView.h"
 
-#include <map>
+#include <algorithm>
+#include <limits>
+#include <optional>
 #include <utility>
 
 using namespace axi4mlir;
@@ -71,6 +73,116 @@ int32_t writeSlotOf(const Inst &I) {
   }
 }
 
+/// Word count of [From, To), saturating where hostile offsets make the
+/// distance unrepresentable.
+int64_t distance(int64_t From, int64_t To) {
+  uint64_t D = static_cast<uint64_t>(To) - static_cast<uint64_t>(From);
+  constexpr uint64_t Max = std::numeric_limits<int64_t>::max();
+  return static_cast<int64_t>(D > Max ? Max : D);
+}
+
+bool sameWord(const AbstractWord &A, const AbstractWord &B) {
+  return A.K == B.K &&
+         (A.K != AbstractWord::Kind::Const || A.Value == B.Value);
+}
+
+/// The staged content of the DMA input region: sorted, disjoint runs of
+/// equal abstract words, with touching runs always different, so a
+/// maximal stretch of tile data is exactly one run. Every operation costs
+/// O(runs) whatever the tile size; words outside every run were never
+/// staged since the last dma_init.
+class StagedRegion {
+public:
+  struct Run {
+    int64_t Begin, End; ///< words [Begin, End)
+    AbstractWord W;
+  };
+  using Iter = std::vector<Run>::const_iterator;
+
+  void clear() { Runs.clear(); }
+  Iter end() const { return Runs.end(); }
+
+  /// The first run ending past \p Offset.
+  Iter firstEndingAfter(int64_t Offset) const {
+    return std::upper_bound(
+        Runs.begin(), Runs.end(), Offset,
+        [](int64_t O, const Run &R) { return O < R.End; });
+  }
+
+  /// Overwrites [Begin, End) with \p W.
+  void stage(int64_t Begin, int64_t End, const AbstractWord &W) {
+    if (Begin >= End)
+      return;
+    // [Lo, Hi): the runs overlapping or touching [Begin, End). They are
+    // replaced by at most three pieces: the part of the first left of
+    // Begin, the new run, and the part of the last right of End.
+    auto Lo = std::lower_bound(
+        Runs.begin(), Runs.end(), Begin,
+        [](const Run &R, int64_t B) { return R.End < B; });
+    auto Hi = std::upper_bound(
+        Lo, Runs.end(), End,
+        [](int64_t E, const Run &R) { return E < R.Begin; });
+    Run Pieces[3];
+    size_t N = 0;
+    auto push = [&](const Run &R) {
+      if (N && sameWord(Pieces[N - 1].W, R.W))
+        Pieces[N - 1].End = R.End;
+      else
+        Pieces[N++] = R;
+    };
+    if (Lo != Hi && Lo->Begin < Begin)
+      push({Lo->Begin, Begin, Lo->W});
+    push({Begin, End, W});
+    if (Lo != Hi && std::prev(Hi)->End > End)
+      push({End, std::prev(Hi)->End, std::prev(Hi)->W});
+    auto At = Runs.erase(Lo, Hi);
+    Runs.insert(At, Pieces, Pieces + N);
+  }
+
+  /// Joins this region (after a loop body that may not have run) with
+  /// \p Pre (the loop-entry region): words staged in only one of them,
+  /// or staged differently, become unknown.
+  void joinWith(const StagedRegion &Pre) {
+    const std::vector<Run> &A = Runs, &B = Pre.Runs;
+    constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+    std::vector<Run> Out;
+    size_t I = 0, J = 0;
+    int64_t Pos = std::numeric_limits<int64_t>::min();
+    for (;;) {
+      while (I < A.size() && A[I].End <= Pos)
+        ++I;
+      while (J < B.size() && B[J].End <= Pos)
+        ++J;
+      bool HasA = I < A.size(), HasB = J < B.size();
+      if (!HasA && !HasB)
+        break;
+      // Skip words neither side staged.
+      Pos = std::max(Pos, std::min(HasA ? A[I].Begin : Max,
+                                   HasB ? B[J].Begin : Max));
+      bool InA = HasA && A[I].Begin <= Pos, InB = HasB && B[J].Begin <= Pos;
+      // The segment from Pos to the nearest run boundary is uniform on
+      // both sides.
+      int64_t End = Max;
+      if (HasA)
+        End = std::min(End, InA ? A[I].End : A[I].Begin);
+      if (HasB)
+        End = std::min(End, InB ? B[J].End : B[J].Begin);
+      AbstractWord W = InA && InB && sameWord(A[I].W, B[J].W)
+                           ? A[I].W
+                           : AbstractWord::unknown();
+      if (!Out.empty() && Out.back().End == Pos && sameWord(Out.back().W, W))
+        Out.back().End = End;
+      else
+        Out.push_back({Pos, End, W});
+      Pos = End;
+    }
+    Runs = std::move(Out);
+  }
+
+private:
+  std::vector<Run> Runs;
+};
+
 class Verifier {
 public:
   Verifier(const exec::ExecPlan &Plan, const VerifyOptions &Opts)
@@ -95,13 +207,13 @@ private:
   };
   enum class Req { Any, Scalar, MemRef };
 
+  /// Everything a loop's zero-trip rollback or unknown-trip merge reads
+  /// back; loops with a constant positive trip count save none of it.
   struct Snapshot {
     std::vector<AbsSlot> Slots;
     SlotFacts Facts;
     int32_t CurDma;
-    int64_t PendingSend, PendingRecv;
-    ProtocolModel Model;
-    std::map<int64_t, AbstractWord> Region;
+    StagedRegion Region;
     bool RegionUnknown;
   };
 
@@ -204,6 +316,14 @@ private:
     Facts.Known[Slot] = 0;
     Facts.SizeKnown[Slot] = 0;
   }
+  /// Defines the end offset `Off + Count` an accel.send* stages up to; a
+  /// non-constant or unrepresentable end defines an unknown scalar.
+  void defineStagingEnd(int32_t Slot, bool Known, int64_t Off,
+                        int64_t Count) {
+    int64_t End = 0;
+    Known = Known && rangeEnd(Off, Count, End);
+    defineScalar(Slot, Known, End);
+  }
 
   int64_t memrefCount(int32_t Slot) const {
     return inRange(Slot) && Facts.SizeKnown[Slot] ? Facts.Count[Slot] : -1;
@@ -217,7 +337,7 @@ private:
         static_cast<size_t>(Offset) + Count <= V.slotPool().size())
       return true;
     error(Pc, "index pool range [" + std::to_string(Offset) + ", " +
-                  std::to_string(Offset + static_cast<int32_t>(Count)) +
+                  std::to_string(int64_t{Offset} + Count) +
                   ") is outside the plan's pool (" +
                   std::to_string(V.slotPool().size()) + " entries)");
     return false;
@@ -259,11 +379,17 @@ private:
       return;
     }
     if (OffKnown && Count >= 0) {
-      if (Off + Count > Cap)
-        error(Pc, std::string(What) + " covers words [" +
-                      std::to_string(Off) + ", " +
-                      std::to_string(Off + Count) + ") but the DMA " +
+      int64_t End = 0;
+      if (!rangeEnd(Off, Count, End))
+        error(Pc, std::string(What) + " covers " + std::to_string(Count) +
+                      " words from offset " + std::to_string(Off) +
+                      ", past the largest representable offset; the DMA " +
                       RegionName + " region holds only " +
+                      std::to_string(Cap) + " words");
+      else if (End > Cap)
+        error(Pc, std::string(What) + " covers words [" +
+                      std::to_string(Off) + ", " + std::to_string(End) +
+                      ") but the DMA " + RegionName + " region holds only " +
                       std::to_string(Cap) + " words");
       return;
     }
@@ -308,8 +434,26 @@ private:
       error(Pc, Msg);
   }
 
+  /// Streams \p Count copies of \p W. Inside a data burst the FSM ignores
+  /// word values, so those words go in as one data burst; elsewhere they
+  /// go word by word (constants can start opcodes, an unknown word stops
+  /// tracking), which bounds the loop by the staged instructions.
+  void modelWords(int64_t Pc, const AbstractWord &W, int64_t Count) {
+    while (Count > 0 && !Model.gaveUp() && !Aborted) {
+      int64_t InBurst = std::min(Count, Model.dataBurstWordsLeft());
+      if (InBurst > 0) {
+        modelData(Pc, InBurst);
+        Count -= InBurst;
+        continue;
+      }
+      modelWord(Pc, W);
+      --Count;
+    }
+  }
+
   /// Replays the staged words [Begin, End) of the input region against
-  /// the model, exactly as dmaStartSend would stream them.
+  /// the model, exactly as dmaStartSend would stream them: one step per
+  /// run, a data run as a single burst.
   void streamStagedRange(int64_t Pc, int64_t Begin, int64_t End) {
     if (!HaveModel || Model.gaveUp())
       return;
@@ -320,36 +464,39 @@ private:
       return;
     }
     bool WarnedUnstaged = false;
+    StagedRegion::Iter It = Region.firstEndingAfter(Begin);
     int64_t O = Begin;
     while (O < End && !Model.gaveUp() && !Aborted) {
-      auto It = Region.find(O);
-      if (It == Region.end()) {
+      if (It == Region.end() || It->Begin > O) {
+        int64_t GapEnd = It == Region.end() ? End : std::min(It->Begin, End);
         if (!WarnedUnstaged) {
           warn(Pc, "streams region words never staged since the last "
                    "dma_init (first at offset " +
                        std::to_string(O) + ")");
           WarnedUnstaged = true;
         }
-        modelWord(Pc, AbstractWord::unknown());
-        ++O;
+        modelWords(Pc, AbstractWord::unknown(), distance(O, GapEnd));
+        O = GapEnd;
         continue;
       }
-      if (It->second.K == AbstractWord::Kind::Data) {
-        int64_t Run = 0;
-        while (O < End) {
-          auto Next = Region.find(O);
-          if (Next == Region.end() ||
-              Next->second.K != AbstractWord::Kind::Data)
-            break;
-          ++Run;
-          ++O;
-        }
-        modelData(Pc, Run);
-        continue;
-      }
-      modelWord(Pc, It->second);
-      ++O;
+      int64_t RunEnd = std::min(It->End, End);
+      if (It->W.K == AbstractWord::Kind::Data)
+        modelData(Pc, distance(O, RunEnd));
+      else
+        modelWords(Pc, It->W, distance(O, RunEnd));
+      O = RunEnd;
+      ++It;
     }
+  }
+
+  /// Stages [Off, Off + Count) with \p W. Words at or past INT64_MAX can
+  /// never be sent (a send's end offset is an int64), so an end past it
+  /// is clamped; checkRegionRange has already reported the range.
+  void stageWords(int64_t Off, int64_t Count, const AbstractWord &W) {
+    int64_t End = 0;
+    if (!rangeEnd(Off, Count, End))
+      End = std::numeric_limits<int64_t>::max();
+    Region.stage(Off, End, W);
   }
 
   //===------------------------------------------------------------------===//
@@ -357,16 +504,12 @@ private:
   //===------------------------------------------------------------------===//
 
   Snapshot save() const {
-    return {Slots,  Facts, CurDma,       PendingSend,
-            PendingRecv, Model, Region, RegionUnknown};
+    return {Slots, Facts, CurDma, Region, RegionUnknown};
   }
   void restore(Snapshot &&S) {
     Slots = std::move(S.Slots);
     Facts = std::move(S.Facts);
     CurDma = S.CurDma;
-    PendingSend = S.PendingSend;
-    PendingRecv = S.PendingRecv;
-    Model = S.Model;
     Region = std::move(S.Region);
     RegionUnknown = S.RegionUnknown;
   }
@@ -411,8 +554,7 @@ private:
         Cur.Rank = -1;
       if (!(Facts.Known[S] && Pre.Facts.Known[S] &&
             Facts.Value[S] == Pre.Facts.Value[S]))
-        Facts.Known[S] = Facts.Known[S] && Pre.Facts.Known[S] &&
-                         Facts.Value[S] == Pre.Facts.Value[S];
+        Facts.Known[S] = 0;
       if (!(Facts.SizeKnown[S] && Pre.Facts.SizeKnown[S] &&
             Facts.Count[S] == Pre.Facts.Count[S]))
         Facts.SizeKnown[S] = 0;
@@ -420,16 +562,7 @@ private:
     if (CurDma != Pre.CurDma)
       CurDma = -2; // some dma_init happened, but which one is open
     if (HaveModel) {
-      for (auto &Entry : Region) {
-        auto It = Pre.Region.find(Entry.first);
-        if (It == Pre.Region.end() || It->second.K != Entry.second.K ||
-            (Entry.second.K == AbstractWord::Kind::Const &&
-             It->second.Value != Entry.second.Value))
-          Entry.second = AbstractWord::unknown();
-      }
-      for (const auto &Old : Pre.Region)
-        if (!Region.count(Old.first))
-          Region[Old.first] = AbstractWord::unknown();
+      Region.joinWith(Pre.Region);
       RegionUnknown = RegionUnknown || Pre.RegionUnknown;
     }
   }
@@ -535,7 +668,11 @@ private:
                     " is not positive; execution rejects this loop");
 
     int64_t Trip = constTripCount(I, Facts);
-    Snapshot Pre = save();
+    int64_t PreSend = PendingSend, PreRecv = PendingRecv;
+    ProtocolModel PreModel = Model;
+    std::optional<Snapshot> Pre;
+    if (Trip <= 0)
+      Pre = save();
 
     if (Trip != 1 && Trip != 0)
       invalidateBodyWrites(PcU + 1, EndPc);
@@ -549,29 +686,32 @@ private:
     if (Trip == 0) {
       // The body provably never executes: diagnostics stand (the code is
       // dead but still checked), the state rolls back.
-      restore(std::move(Pre));
+      restore(std::move(*Pre));
+      PendingSend = PreSend;
+      PendingRecv = PreRecv;
+      Model = PreModel;
       return static_cast<size_t>(I.Aux);
     }
 
     if (Trip != 1) {
       // The body may repeat: a transfer still in flight at the back edge
       // would be restarted before its wait.
-      if (PendingSend != Pre.PendingSend) {
+      if (PendingSend != PreSend) {
         error(PendingSend >= 0 ? PendingSend : Pc,
               "send started inside the loop body is still outstanding "
               "when the body repeats");
-        PendingSend = Pre.PendingSend;
+        PendingSend = PreSend;
       }
-      if (PendingRecv != Pre.PendingRecv) {
+      if (PendingRecv != PreRecv) {
         error(PendingRecv >= 0 ? PendingRecv : Pc,
               "receive started inside the loop body is still outstanding "
               "when the body repeats");
-        PendingRecv = Pre.PendingRecv;
+        PendingRecv = PreRecv;
       }
-      stabilizeProtocol(PcU, EndPc, Pre.Model, Trip);
+      stabilizeProtocol(PcU, EndPc, PreModel, Trip);
     }
     if (Trip < 0)
-      mergeUnknownTrip(Pre);
+      mergeUnknownTrip(*Pre);
     return static_cast<size_t>(I.Aux);
   }
 
@@ -589,7 +729,7 @@ private:
 
   ProtocolModel Model;
   bool HaveModel = false;
-  std::map<int64_t, AbstractWord> Region; ///< staged input-region content
+  StagedRegion Region; ///< staged input-region content
   bool RegionUnknown = false;
 };
 
@@ -765,7 +905,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                      "the staged literal");
     modelWord(Pc, AbstractWord::constant(I.Imm));
     if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown, Off + 1);
+      defineStagingEnd(I.Dst, OffKnown, Off, 1);
     return;
   }
   case Op::AccelSend: {
@@ -778,7 +918,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                      "the sent tile");
     modelData(Pc, Cnt);
     if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown && Cnt >= 0, Off + (Cnt >= 0 ? Cnt : 0));
+      defineStagingEnd(I.Dst, OffKnown && Cnt >= 0, Off, Cnt);
     return;
   }
   case Op::AccelSendDim: {
@@ -802,7 +942,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
     modelWord(Pc, I.Sub ? AbstractWord::constant(I.Imm)
                         : AbstractWord::unknown());
     if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown, Off + 1);
+      defineStagingEnd(I.Dst, OffKnown, Off, 1);
     return;
   }
   case Op::AccelSendIdx: {
@@ -816,7 +956,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                       ? AbstractWord::constant(Facts.Value[I.A])
                       : AbstractWord::unknown());
     if (checkWrite(Pc, I.Dst))
-      defineScalar(I.Dst, OffKnown, Off + 1);
+      defineStagingEnd(I.Dst, OffKnown, Off, 1);
     return;
   }
   case Op::AccelRecv: {
@@ -840,8 +980,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                      "the staged copy");
     if (HaveModel) {
       if (OffKnown && Cnt >= 0)
-        for (int64_t O = Off; O < Off + Cnt; ++O)
-          Region[O] = AbstractWord::data();
+        stageWords(Off, Cnt, AbstractWord::data());
       else
         RegionUnknown = true;
     }
@@ -863,9 +1002,10 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                      "the staged literal");
     if (HaveModel) {
       if (OffKnown)
-        Region[Off] = Facts.isConst(I.A)
-                          ? AbstractWord::constant(Facts.Value[I.A])
-                          : AbstractWord::unknown();
+        stageWords(Off, 1,
+                   Facts.isConst(I.A)
+                       ? AbstractWord::constant(Facts.Value[I.A])
+                       : AbstractWord::unknown());
       else
         RegionUnknown = true;
     }
@@ -891,7 +1031,8 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
                     std::to_string(Rg.End) + ")");
     else
       checkRegionRange(Pc, /*Input=*/true, RangeKnown, Rg.Begin,
-                       RangeKnown ? Rg.size() : -1, "the send");
+                       RangeKnown ? distance(Rg.Begin, Rg.End) : -1,
+                       "the send");
     if (PendingSend >= 0)
       error(Pc, "starts a send while the send at pc " +
                     std::to_string(PendingSend) +

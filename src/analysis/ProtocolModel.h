@@ -88,6 +88,12 @@ public:
   bool atOpcodeBoundary() const { return St == State::Idle; }
   /// Modeled output words awaiting a receive (-1 = unknown).
   int64_t pendingOutputWords() const { return PendingOut; }
+  /// Payload words left in the current data burst (0 outside one). The
+  /// FSM ignores their values, so words of any kind consume them exactly
+  /// as `feedData` does.
+  int64_t dataBurstWordsLeft() const {
+    return St == State::Burst ? Remaining : 0;
+  }
   bool gaveUp() const { return St == State::GaveUp; }
   /// Human-readable state for diagnostics.
   std::string stateDescription() const;

@@ -309,25 +309,28 @@ private:
     return analysis::evalConstDst(I, A, Out);
   }
 
-  Analysis analyze(std::vector<Node> &Tree) {
+  Analysis analyze(const std::vector<Node> &Tree) {
     unsigned N = Plan.NumSlots;
     Analysis A(N);
 
     // Collect every defining instruction per slot. Loop nodes write their
     // induction variable (twice at runtime — begin and backedge — which is
     // modeled as an unevaluable writer). Generic body instructions write
-    // body-local slots; body arguments are rebound per point.
-    std::vector<std::vector<const Inst *>> Writers(N);
-    std::vector<int8_t> Unknown(N, 0);
+    // body-local slots; body arguments are rebound per point. The same
+    // walk records static element counts (subviews and allocs have static
+    // shapes).
+    WriterDefs.clear();
+    UnknownWriter.assign(N, 0);
     auto note = [&](int32_t Slot, const Inst *Def) {
       if (Slot < 0)
         return;
       ++A.NumWriters[Slot];
       if (Def)
-        Writers[Slot].push_back(Def);
+        WriterDefs.emplace_back(Slot, Def);
       else
-        Unknown[Slot] = 1;
+        UnknownWriter[Slot] = 1;
     };
+    analysis::PlanView View(Plan);
     walkInsts(Tree, [&](const Node &Nd) {
       if (Nd.IsLoop) {
         note(Nd.I.Dst, nullptr);
@@ -343,31 +346,34 @@ private:
         return;
       }
       note(writeSlot(I), &I);
-    });
-    // Arguments are memref parameters: unknown values.
-    for (unsigned Idx = 0; Idx < Plan.NumArgs && Idx < N; ++Idx)
-      Unknown[Idx] = 1;
-
-    // Static element counts (subviews and allocs have static shapes).
-    analysis::PlanView View(Plan);
-    walkInsts(Tree, [&](const Node &Nd) {
-      if (Nd.IsLoop)
-        return;
-      const Inst &I = Nd.I;
       int64_t Count = analysis::staticElementCount(View, I);
-      if (Count < 0)
-        return;
       int32_t Slot = I.Dst;
-      if (Slot < 0)
+      if (Count < 0 || Slot < 0)
         return;
       if (A.SizeKnown[Slot] && A.Count[Slot] != Count) {
         A.SizeKnown[Slot] = 0; // conflicting writers
-        Unknown[Slot] = 1;
+        UnknownWriter[Slot] = 1;
         return;
       }
       A.SizeKnown[Slot] = 1;
       A.Count[Slot] = Count;
     });
+    // Arguments are memref parameters: unknown values.
+    for (unsigned Idx = 0; Idx < Plan.NumArgs && Idx < N; ++Idx)
+      UnknownWriter[Idx] = 1;
+
+    // Bucket the writers by slot (a counting sort into the flat list).
+    WriterBegin.assign(N + 1, 0);
+    for (const auto &Def : WriterDefs)
+      ++WriterBegin[Def.first + 1];
+    for (unsigned Slot = 0; Slot < N; ++Slot)
+      WriterBegin[Slot + 1] += WriterBegin[Slot];
+    WriterList.resize(WriterDefs.size());
+    for (const auto &Def : WriterDefs)
+      WriterList[WriterBegin[Def.first]++] = Def.second;
+    for (unsigned Slot = N; Slot > 0; --Slot)
+      WriterBegin[Slot] = WriterBegin[Slot - 1];
+    WriterBegin[0] = 0;
 
     // Fixpoint: a slot is constant when every writer evaluates to the
     // same value under the facts established so far. Knowledge only
@@ -376,23 +382,15 @@ private:
     while (Changed) {
       Changed = false;
       for (unsigned Slot = 0; Slot < N; ++Slot) {
-        if (A.Known[Slot] || Unknown[Slot] || Writers[Slot].empty())
+        uint32_t Begin = WriterBegin[Slot], End = WriterBegin[Slot + 1];
+        if (A.Known[Slot] || UnknownWriter[Slot] || Begin == End)
           continue;
         int64_t Value = 0;
-        bool Ok = true, First = true;
-        for (const Inst *Def : Writers[Slot]) {
+        bool Ok = true;
+        for (uint32_t W = Begin; W < End && Ok; ++W) {
           int64_t V = 0;
-          if (!evalConst(*Def, A, V)) {
-            Ok = false;
-            break;
-          }
-          if (First) {
-            Value = V;
-            First = false;
-          } else if (V != Value) {
-            Ok = false;
-            break;
-          }
+          Ok = evalConst(*WriterList[W], A, V) && (W == Begin || V == Value);
+          Value = V;
         }
         if (Ok) {
           A.Known[Slot] = 1;
@@ -403,6 +401,23 @@ private:
     }
     return A;
   }
+
+  /// Facts for one new single-writer constant slot.
+  static void appendConstFact(Analysis &A, int64_t Value) {
+    A.Known.push_back(1);
+    A.Value.push_back(Value);
+    A.SizeKnown.push_back(0);
+    A.Count.push_back(0);
+    A.NumWriters.push_back(1);
+  }
+
+#ifndef NDEBUG
+  static bool sameFacts(const Analysis &X, const Analysis &Y) {
+    return X.Known == Y.Known && X.Value == Y.Value &&
+           X.SizeKnown == Y.SizeKnown && X.Count == Y.Count &&
+           X.NumWriters == Y.NumWriters;
+  }
+#endif
 
   template <typename Fn> void walkInsts(std::vector<Node> &Tree, Fn &&F) {
     for (Node &N : Tree) {
@@ -480,48 +495,47 @@ private:
     // and every perf charge stay bit-identical.
     bool Changed = false;
     std::vector<std::map<int64_t, int32_t>> Scopes(1);
-    std::function<void(std::vector<Node> &)> walk =
-        [&](std::vector<Node> &Body) {
-          for (Node &Nd : Body) {
-            auto rewrite = [&](int32_t &Slot) {
-              int32_t Propagated = resolve(Slot);
-              if (Propagated != Slot && !A.isConst(Slot)) {
-                Slot = Propagated;
+    auto walk = [&](auto &Self, std::vector<Node> &Body) -> void {
+      for (Node &Nd : Body) {
+        auto rewrite = [&](int32_t &Slot) {
+          int32_t Propagated = resolve(Slot);
+          if (Propagated != Slot && !A.isConst(Slot)) {
+            Slot = Propagated;
+            ++Stats.FoldedOperands;
+            Changed = true;
+            return;
+          }
+          if (!A.isConst(Slot))
+            return;
+          int64_t V = A.Value[Slot];
+          for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
+            auto Found = It->find(V);
+            if (Found != It->end()) {
+              if (Found->second != Slot) {
+                Slot = Found->second;
                 ++Stats.FoldedOperands;
                 Changed = true;
-                return;
               }
-              if (!A.isConst(Slot))
-                return;
-              int64_t V = A.Value[Slot];
-              for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-                auto Found = It->find(V);
-                if (Found != It->end()) {
-                  if (Found->second != Slot) {
-                    Slot = Found->second;
-                    ++Stats.FoldedOperands;
-                    Changed = true;
-                  }
-                  return;
-                }
-              }
-            };
-            if (Nd.I.Code == POp::Generic) {
-              // Payload bodies are rebound per point; leave them alone.
-            } else {
-              forEachRead(Nd.I, rewrite);
-            }
-            if (!Nd.IsLoop && Nd.I.Code == POp::ConstInt &&
-                Nd.I.Dst >= 0 && A.isConst(Nd.I.Dst))
-              Scopes.back().try_emplace(A.Value[Nd.I.Dst], Nd.I.Dst);
-            if (Nd.IsLoop) {
-              Scopes.emplace_back();
-              walk(Nd.Body);
-              Scopes.pop_back();
+              return;
             }
           }
         };
-    walk(Tree);
+        if (Nd.I.Code == POp::Generic) {
+          // Payload bodies are rebound per point; leave them alone.
+        } else {
+          forEachRead(Nd.I, rewrite);
+        }
+        if (!Nd.IsLoop && Nd.I.Code == POp::ConstInt &&
+            Nd.I.Dst >= 0 && A.isConst(Nd.I.Dst))
+          Scopes.back().try_emplace(A.Value[Nd.I.Dst], Nd.I.Dst);
+        if (Nd.IsLoop) {
+          Scopes.emplace_back();
+          Self(Self, Nd.Body);
+          Scopes.pop_back();
+        }
+      }
+    };
+    walk(walk, Tree);
     return Changed;
   }
 
@@ -552,53 +566,52 @@ private:
       std::vector<uint32_t> Reads;
       countReads(Tree, Reads);
 
-      std::function<void(std::vector<Node> &)> sweep =
-          [&](std::vector<Node> &Body) {
-            std::vector<Node> Kept;
-            Kept.reserve(Body.size());
-            for (size_t Idx = 0; Idx < Body.size(); ++Idx) {
-              Node &Nd = Body[Idx];
-              if (Nd.IsLoop) {
-                // A constant zero-trip loop never executes its body and
-                // charges nothing at the LoopBegin: removal is perfectly
-                // counter-identical.
-                if (tripCount(Nd, A) == 0) {
-                  unsigned Removed = 0;
-                  walkInsts(Nd.Body, [&](const Node &) { ++Removed; });
-                  Stats.RemovedUnchargedInsts += Removed + 1;
-                  Changed = AnyChange = true;
-                  continue;
-                }
-                sweep(Nd.Body);
-                Kept.push_back(std::move(Nd));
-                continue;
-              }
-              const Inst &I = Nd.I;
-              // Dead uncharged pure instructions: removing them changes
-              // no executed charge and no observable value.
-              if (isUncharged(I.Code) && I.Dst >= 0 &&
-                  Reads[I.Dst] == 0) {
-                ++Stats.RemovedUnchargedInsts;
-                Changed = AnyChange = true;
-                continue;
-              }
-              // Dead staging writes: a constant-range input-region write
-              // whose bytes are fully overwritten (or re-initialized by
-              // dma_init) before any send can stream them is
-              // unobservable apart from its charges.
-              Range W;
-              if (isInputWrite(I.Code) &&
-                  (I.Dst < 0 || Reads[I.Dst] == 0) &&
-                  inputWriteRange(I, A, W) && deadAfter(Body, Idx, W, A)) {
-                ++Stats.RemovedChargedInsts;
-                Changed = AnyChange = true;
-                continue;
-              }
-              Kept.push_back(std::move(Nd));
+      auto sweep = [&](auto &Self, std::vector<Node> &Body) -> void {
+        std::vector<Node> Kept;
+        Kept.reserve(Body.size());
+        for (size_t Idx = 0; Idx < Body.size(); ++Idx) {
+          Node &Nd = Body[Idx];
+          if (Nd.IsLoop) {
+            // A constant zero-trip loop never executes its body and
+            // charges nothing at the LoopBegin: removal is perfectly
+            // counter-identical.
+            if (tripCount(Nd, A) == 0) {
+              unsigned Removed = 0;
+              walkInsts(Nd.Body, [&](const Node &) { ++Removed; });
+              Stats.RemovedUnchargedInsts += Removed + 1;
+              Changed = AnyChange = true;
+              continue;
             }
-            Body = std::move(Kept);
-          };
-      sweep(Tree);
+            Self(Self, Nd.Body);
+            Kept.push_back(std::move(Nd));
+            continue;
+          }
+          const Inst &I = Nd.I;
+          // Dead uncharged pure instructions: removing them changes
+          // no executed charge and no observable value.
+          if (isUncharged(I.Code) && I.Dst >= 0 &&
+              Reads[I.Dst] == 0) {
+            ++Stats.RemovedUnchargedInsts;
+            Changed = AnyChange = true;
+            continue;
+          }
+          // Dead staging writes: a constant-range input-region write
+          // whose bytes are fully overwritten (or re-initialized by
+          // dma_init) before any send can stream them is
+          // unobservable apart from its charges.
+          Range W;
+          if (isInputWrite(I.Code) &&
+              (I.Dst < 0 || Reads[I.Dst] == 0) &&
+              inputWriteRange(I, A, W) && deadAfter(Body, Idx, W, A)) {
+            ++Stats.RemovedChargedInsts;
+            Changed = AnyChange = true;
+            continue;
+          }
+          Kept.push_back(std::move(Nd));
+        }
+        Body = std::move(Kept);
+      };
+      sweep(sweep, Tree);
     }
     return AnyChange;
   }
@@ -645,8 +658,24 @@ private:
   // licm
   //===--------------------------------------------------------------------===//
 
+  /// A set of slots as one flag per slot.
+  struct SlotSet {
+    std::vector<uint8_t> In;
+    explicit SlotSet(unsigned NumSlots) : In(NumSlots, 0) {}
+    bool has(int32_t S) const {
+      return S >= 0 && static_cast<size_t>(S) < In.size() && In[S];
+    }
+    void set(int32_t S, uint8_t V) {
+      if (S >= 0 && static_cast<size_t>(S) < In.size())
+        In[S] = V;
+    }
+    void insert(int32_t S) { set(S, 1); }
+    void erase(int32_t S) { set(S, 0); }
+  };
+
   struct LoopFacts {
-    std::set<int32_t> Written;
+    explicit LoopFacts(unsigned NumSlots) : Written(NumSlots) {}
+    SlotSet Written;
     std::vector<Range> InputWrites; // constant-range staging writes
     bool RegionUnknown = false;     // accel op / dma_init / unknown range
     bool HostMemWrite = false;      // store/copy/generic/copy_from/recv
@@ -732,7 +761,7 @@ private:
 
   bool hoistFromLoop(Node &Loop, const Analysis &A,
                      std::vector<Node> &Hoisted) {
-    LoopFacts Facts;
+    LoopFacts Facts(Plan.NumSlots);
     collectLoopFacts(Loop.Body, A, Facts);
     // The loop's own induction variable is written by the loop node
     // itself, which the body walk doesn't see.
@@ -751,7 +780,7 @@ private:
 
         bool Invariant = true;
         forEachRead(I, [&](int32_t &Slot) {
-          if (Slot >= 0 && Facts.Written.count(Slot))
+          if (Facts.Written.has(Slot))
             Invariant = false;
         });
         if (!Invariant)
@@ -846,15 +875,12 @@ private:
   //===--------------------------------------------------------------------===//
 
   bool coalescePass(std::vector<Node> &Tree) {
-    bool Changed = false;
-    {
-      Analysis A = analyze(Tree);
-      if (flattenSingleTripLoops(Tree, A))
-        Changed = true;
-    }
+    Analysis A = analyze(Tree);
+    bool Changed = flattenSingleTripLoops(Tree, A);
     // Re-analyze: flattening turned IVs into constants, which is exactly
     // what exposes constant send ranges for merging.
-    Analysis A = analyze(Tree);
+    if (Changed)
+      A = analyze(Tree);
     if (mergePreconditions(Tree, A)) {
       int64_t Capacity = inputRegionWords();
       if (Capacity > 0 && mergeSendsIn(Tree, A, Capacity))
@@ -1041,27 +1067,26 @@ private:
   bool mergeSendsIn(std::vector<Node> &Tree, Analysis &A,
                     int64_t Capacity) {
     bool Changed = false;
-    std::function<void(std::vector<Node> &)> scan =
-        [&](std::vector<Node> &Body) {
-          for (Node &Nd : Body)
-            if (Nd.IsLoop)
-              scan(Nd.Body);
-          bool Restart = true;
-          while (Restart) {
-            Restart = false;
-            for (size_t I1 = 0; I1 < Body.size(); ++I1) {
-              if (Body[I1].IsLoop || !isFusedSend(Body[I1].I.Code))
-                continue;
-              if (tryMergeAt(Body, I1, A, Capacity)) {
-                Changed = true;
-                Restart = true;
-                // Analysis gained new constant slots.
-                break;
-              }
-            }
+    auto scan = [&](auto &Self, std::vector<Node> &Body) -> void {
+      for (Node &Nd : Body)
+        if (Nd.IsLoop)
+          Self(Self, Nd.Body);
+      bool Restart = true;
+      while (Restart) {
+        Restart = false;
+        for (size_t I1 = 0; I1 < Body.size(); ++I1) {
+          if (Body[I1].IsLoop || !isFusedSend(Body[I1].I.Code))
+            continue;
+          if (tryMergeAt(Body, I1, A, Capacity)) {
+            Changed = true;
+            Restart = true;
+            // Analysis gained new constant slots.
+            break;
           }
-        };
-    scan(Tree);
+        }
+      }
+    };
+    scan(scan, Tree);
     return Changed;
   }
 
@@ -1202,6 +1227,31 @@ private:
     Merged.A = makeConst(S1.End + L2);
     Merged.B = Body[I1].I.B;
 
+    // Extend the analysis instead of redoing it: the new constants are
+    // the only new slots, and the relocated group's end offsets are the
+    // only changed facts (nothing reads them any more, so nothing
+    // downstream moves). A shared or argument end slot falls back to a
+    // full analysis.
+    bool Incremental = true;
+    for (size_t J : Group) {
+      int32_t D = Body[J].I.Dst;
+      if (D >= 0 && (A.NumWriters[D] != 1 ||
+                     static_cast<unsigned>(D) < Plan.NumArgs))
+        Incremental = false;
+    }
+    if (Incremental) {
+      for (const Node &C : NewConsts)
+        appendConstFact(A, C.I.Imm);
+      for (size_t J : Group) {
+        int32_t D = Body[J].I.Dst;
+        if (D < 0)
+          continue;
+        int64_t End = 0;
+        A.Known[D] = evalConst(Body[J].I, A, End);
+        A.Value[D] = A.Known[D] ? End : 0;
+      }
+    }
+
     std::vector<Node> Rebuilt;
     Rebuilt.reserve(Body.size() + NewConsts.size());
     for (size_t J = 0; J < Body.size(); ++J) {
@@ -1214,8 +1264,10 @@ private:
     }
     Body = std::move(Rebuilt);
     ++Stats.CoalescedSends;
-    // Extend the analysis for the new constant slots.
-    A = analyze(*TreeRoot);
+    if (!Incremental)
+      A = analyze(*TreeRoot);
+    assert(sameFacts(A, analyze(*TreeRoot)) &&
+           "incremental merge facts diverge from a full analysis");
     return true;
   }
 
@@ -1223,6 +1275,14 @@ private:
   const PlanOptOptions &Options;
   PlanOptStats Stats;
   std::vector<Node> *TreeRoot = nullptr;
+
+  /// analyze() scratch, reused across its calls (over a dozen per pipeline
+  /// run): the evaluable writers per slot as one flat list bucketed by
+  /// slot (WriterList[WriterBegin[S] .. WriterBegin[S + 1]]).
+  std::vector<std::pair<int32_t, const Inst *>> WriterDefs;
+  std::vector<uint32_t> WriterBegin;
+  std::vector<const Inst *> WriterList;
+  std::vector<int8_t> UnknownWriter;
 };
 
 PlanOptStats PlanOptimizer::run() {

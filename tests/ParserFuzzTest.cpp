@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -60,8 +61,10 @@ std::vector<std::filesystem::path> mlirFilesIn(const std::string &Dir) {
 /// The invariant under test: parseSourceString either succeeds or fails
 /// with a located diagnostic. Anything else (crash, empty error) is a
 /// parser bug.
+/// \p PlanError: empty when the compiled plan must verify clean, else a
+/// fragment of the instruction-located error the plan verifier must give.
 void expectCleanOutcome(const std::string &Source, const std::string &Label,
-                        bool Verify) {
+                        bool Verify, const std::string &PlanError = "") {
   SCOPED_TRACE(Label);
   MLIRContext Context;
   registerAllDialects(Context);
@@ -86,25 +89,45 @@ void expectCleanOutcome(const std::string &Source, const std::string &Label,
   // function that compiles to an ExecPlan must be accepted by the plan
   // verifier — the parser/verifier pair must never hand the executor a
   // plan the analysis layer would reject (and neither compile nor verify
-  // may crash on fuzzed-but-accepted IR).
+  // may crash on fuzzed-but-accepted IR). The only exceptions are corpus
+  // files naming the located error the verifier must report instead.
   if (Verify && Parsed->get()->getName() == func::FuncOp::OpName) {
     std::string CompileError;
     auto Plan =
         exec::ExecPlan::compile(func::FuncOp(Parsed->get()), CompileError);
     if (Plan) {
       analysis::VerifyResult Verified = analysis::verifyPlan(*Plan);
-      EXPECT_TRUE(Verified.Errors.empty()) << Verified.toString();
+      if (PlanError.empty()) {
+        EXPECT_TRUE(Verified.Errors.empty()) << Verified.toString();
+      } else {
+        bool Found = false;
+        for (const analysis::PlanDiag &D : Verified.Errors)
+          Found = Found || (D.Message.rfind("pc ", 0) == 0 &&
+                            D.Message.find(PlanError) != std::string::npos);
+        EXPECT_TRUE(Found) << "expected a located '" << PlanError
+                           << "' error; got:\n"
+                           << Verified.toString();
+      }
+    } else {
+      EXPECT_TRUE(PlanError.empty()) << "plan failed to compile: "
+                                     << CompileError;
     }
   }
 }
 
 TEST(ParserFuzz, CheckedInCorpus) {
+  // Corpus files that parse and compile but whose plan is unsafe: the
+  // plan verifier must reject them at the offending instruction.
+  const std::map<std::string, std::string> PlanErrors = {
+      {"hostile_dma_offset.mlir", "past the largest representable offset"}};
   std::string Dir = std::string(AXI4MLIR_SOURCE_DIR) + "/tests/corpus/parser";
   std::vector<std::filesystem::path> Files = mlirFilesIn(Dir);
   ASSERT_FALSE(Files.empty()) << "corpus missing at " << Dir;
   for (const auto &Path : Files) {
     std::string Source = readFile(Path);
-    expectCleanOutcome(Source, Path.filename().string() + "/verify", true);
+    auto Expected = PlanErrors.find(Path.filename().string());
+    expectCleanOutcome(Source, Path.filename().string() + "/verify", true,
+                       Expected == PlanErrors.end() ? "" : Expected->second);
     expectCleanOutcome(Source, Path.filename().string() + "/noverify",
                        false);
   }

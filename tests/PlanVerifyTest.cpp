@@ -25,6 +25,7 @@
 #include "exec/ExecPlan.h"
 #include "exec/Pipeline.h"
 #include "exec/opt/PlanOpt.h"
+#include "ir/Parser.h"
 #include "transforms/Passes.h"
 
 #include <gtest/gtest.h>
@@ -251,6 +252,147 @@ TEST(PlanVerify, VerifyEachReportsCorruptInput) {
   EXPECT_FALSE(Stats.VerifyFailedPass.empty());
   EXPECT_NE(Stats.VerifyError.find("holds only"), std::string::npos)
       << Stats.VerifyError;
+}
+
+//===----------------------------------------------------------------------===//
+// Staged-region semantics: what the protocol model sees of the region
+//===----------------------------------------------------------------------===//
+
+/// Parses a runtime-level (axirt.*) function body with one memref<8xi32>
+/// argument, compiles it and verifies it against a v3 matmul model with
+/// 4x4 tiles (an sA opcode, 0x22, opens a 16-word data burst).
+analysis::VerifyResult verifyRuntimeBody(const std::string &Body) {
+  std::string Source =
+      "func.func() ({\n"
+      "^bb(%arg0: memref<8xi32>):\n"
+      "  func.call() {callee = \"axirt.dma_init\", dma_config = "
+      "dma_config<id = 0, in = 0x42/262144, out = 0x40042/262144>} : "
+      "() -> ()\n" +
+      Body +
+      "  func.return() : () -> ()\n"
+      "}) {function_type = (memref<8xi32>) -> (), sym_name = \"f\"} : "
+      "() -> ()\n";
+  MLIRContext Context;
+  registerAllDialects(Context);
+  std::string Error;
+  auto Parsed = parseSourceString(Source, &Context, &Error);
+  if (failed(Parsed)) {
+    ADD_FAILURE() << Error;
+    return {};
+  }
+  auto Plan = ExecPlan::compile(func::FuncOp(Parsed->get()), Error);
+  if (!Plan) {
+    ADD_FAILURE() << Error;
+    return {};
+  }
+  analysis::ProtocolModel Model = analysis::ProtocolModel::matmul(V::V3, 4);
+  analysis::VerifyOptions Options;
+  Options.Model = &Model;
+  return analysis::verifyPlan(*Plan, Options);
+}
+
+/// Diagnostics (errors, then warnings) containing \p Needle.
+std::vector<std::string> findingsWith(const analysis::VerifyResult &R,
+                                      const std::string &Needle) {
+  std::vector<std::string> Out;
+  for (const auto *List : {&R.Errors, &R.Warnings})
+    for (const analysis::PlanDiag &D : *List)
+      if (D.Message.find(Needle) != std::string::npos)
+        Out.push_back(D.Message);
+  return Out;
+}
+
+/// Stages an 8-word tile (%buf) at [0, 8); %end is its end offset.
+const char *StageEightWords =
+    "  %c0 = arith.constant() {value = 0 : index} : () -> (index)\n"
+    "  %buf = memref.alloc() : () -> (memref<8xi32>)\n"
+    "  %end = func.call(%buf, %c0) {callee = \"axirt.copy_to_dma\"} : "
+    "(memref<8xi32>, index) -> (index)\n";
+const char *SendFromZero =
+    "  func.call(%end, %c0) {callee = \"axirt.start_send\"} : "
+    "(index, index) -> ()\n"
+    "  func.call() {callee = \"axirt.wait_send\"} : () -> ()\n";
+
+TEST(PlanVerify, LiteralInsideDataRunSplitsIt) {
+  // Data [0, 8), then the sA opcode over word 3: the FSM sees 3 data
+  // words while idle, the opcode, then 4 of its 16 payload words.
+  analysis::VerifyResult R = verifyRuntimeBody(
+      std::string(StageEightWords) +
+      "  %c3 = arith.constant() {value = 3 : index} : () -> (index)\n"
+      "  %sa = arith.constant() {value = 34 : i32} : () -> (i32)\n"
+      "  %e1 = func.call(%sa, %c3) {callee = "
+      "\"axirt.copy_literal_to_dma\"} : (i32, index) -> (index)\n" +
+      SendFromZero);
+  EXPECT_EQ(findingsWith(R, "data burst of").size(), 1u) << R.toString();
+  expectError(R, "data burst of 3 words streamed while the accelerator "
+                 "expects an opcode");
+  expectError(R, "program ends with the accelerator mid-burst (12 payload "
+                 "words outstanding");
+}
+
+TEST(PlanVerify, AdjacentCopiesStreamAsOneDataBurst) {
+  // Two copies staging [0, 8) and [8, 16) back to back form one run: a
+  // single 16-word burst reaches the idle FSM, not two of 8.
+  analysis::VerifyResult R = verifyRuntimeBody(
+      std::string(StageEightWords) +
+      "  %end2 = func.call(%buf, %end) {callee = "
+      "\"axirt.copy_to_dma\"} : (memref<8xi32>, index) -> (index)\n"
+      "  func.call(%end2, %c0) {callee = \"axirt.start_send\"} : "
+      "(index, index) -> ()\n"
+      "  func.call() {callee = \"axirt.wait_send\"} : () -> ()\n");
+  EXPECT_EQ(findingsWith(R, "data burst of").size(), 1u) << R.toString();
+  expectError(R, "data burst of 16 words streamed");
+}
+
+TEST(PlanVerify, UnstagedWordsWarnOnceWithFirstOffset) {
+  // Only the sA opcode at 0 and data at [3, 5) are staged; the send
+  // streams [0, 8), so words 1-2 and 5-7 were never staged.
+  analysis::VerifyResult R = verifyRuntimeBody(
+      "  %c0 = arith.constant() {value = 0 : index} : () -> (index)\n"
+      "  %c3 = arith.constant() {value = 3 : index} : () -> (index)\n"
+      "  %c8 = arith.constant() {value = 8 : index} : () -> (index)\n"
+      "  %sa = arith.constant() {value = 34 : i32} : () -> (i32)\n"
+      "  %e0 = func.call(%sa, %c0) {callee = "
+      "\"axirt.copy_literal_to_dma\"} : (i32, index) -> (index)\n"
+      "  %two = memref.alloc() : () -> (memref<2xi32>)\n"
+      "  %e1 = func.call(%two, %c3) {callee = \"axirt.copy_to_dma\"} : "
+      "(memref<2xi32>, index) -> (index)\n"
+      "  func.call(%c8, %c0) {callee = \"axirt.start_send\"} : "
+      "(index, index) -> ()\n"
+      "  func.call() {callee = \"axirt.wait_send\"} : () -> ()\n");
+  std::vector<std::string> Unstaged = findingsWith(R, "never staged");
+  ASSERT_EQ(Unstaged.size(), 1u) << R.toString();
+  EXPECT_NE(Unstaged[0].find("(first at offset 1)"), std::string::npos)
+      << Unstaged[0];
+  // Everything after the opcode went into its 16-word burst: 7 words.
+  expectError(R, "mid-burst (9 payload words outstanding");
+}
+
+TEST(PlanVerify, UnknownTripLoopStagingTurnsWordsUnknown) {
+  // Data staged only inside a loop whose trip count depends on an
+  // argument: after the loop the words may be staged or not, so they
+  // are unknown. The idle FSM stops tracking at the first one, instead
+  // of reporting a data burst (staged on every path) or unstaged words.
+  analysis::VerifyResult R = verifyRuntimeBody(
+      "  %c0 = arith.constant() {value = 0 : index} : () -> (index)\n"
+      "  %c1 = arith.constant() {value = 1 : index} : () -> (index)\n"
+      "  %c8 = arith.constant() {value = 8 : index} : () -> (index)\n"
+      "  %v = memref.load(%arg0, %c0) : (memref<8xi32>, index) -> (i32)\n"
+      "  %n = arith.index_cast(%v) : (i32) -> (index)\n"
+      "  %buf = memref.alloc() : () -> (memref<8xi32>)\n"
+      "  scf.for(%c0, %n, %c1) ({\n"
+      "  ^bb(%i: index):\n"
+      "    %e = func.call(%buf, %c0) {callee = \"axirt.copy_to_dma\"} : "
+      "(memref<8xi32>, index) -> (index)\n"
+      "    scf.yield() : () -> ()\n"
+      "  }) : (index, index, index) -> ()\n"
+      "  func.call(%c8, %c0) {callee = \"axirt.start_send\"} : "
+      "(index, index) -> ()\n"
+      "  func.call() {callee = \"axirt.wait_send\"} : () -> ()\n");
+  EXPECT_TRUE(R.Errors.empty()) << R.toString();
+  EXPECT_TRUE(findingsWith(R, "never staged").empty()) << R.toString();
+  EXPECT_EQ(findingsWith(R, "stopped statically tracking").size(), 1u)
+      << R.toString();
 }
 
 } // namespace
