@@ -49,6 +49,31 @@ inline bool rangeEnd(int64_t Begin, int64_t Count, int64_t &End) {
   return !__builtin_add_overflow(Begin, Count, &End);
 }
 
+/// The slot \p I defines, or -1.
+inline int32_t writeSlot(const PlanView::Inst &I) {
+  using Op = PlanView::Op;
+  switch (I.Code) {
+  case Op::ConstInt:
+  case Op::ConstFloat:
+  case Op::Binary:
+  case Op::IndexCast:
+  case Op::LoopBegin: // induction variable
+  case Op::Alloc:
+  case Op::Load:
+  case Op::SubView:
+  case Op::AccelSendLiteral:
+  case Op::AccelSend:
+  case Op::AccelSendDim:
+  case Op::AccelSendIdx:
+  case Op::AccelRecv:
+  case Op::CallCopyToDma:
+  case Op::CallCopyLiteralToDma:
+    return I.Dst;
+  default:
+    return -1;
+  }
+}
+
 /// Per-slot facts: constant values (ints only) and static memref element
 /// counts. Populated by a client-driven fixpoint (the optimizer walks its
 /// node tree, the verifier walks the flat program); the queries below

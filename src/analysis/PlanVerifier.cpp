@@ -48,31 +48,6 @@ using Op = PlanView::Op;
 /// produce an avalanche.
 constexpr size_t MaxErrors = 64;
 
-/// The slot an instruction defines, or -1 (mirrors the optimizer's
-/// writeSlot).
-int32_t writeSlotOf(const Inst &I) {
-  switch (I.Code) {
-  case Op::ConstInt:
-  case Op::ConstFloat:
-  case Op::Binary:
-  case Op::IndexCast:
-  case Op::LoopBegin: // induction variable
-  case Op::Alloc:
-  case Op::Load:
-  case Op::SubView:
-  case Op::AccelSendLiteral:
-  case Op::AccelSend:
-  case Op::AccelSendDim:
-  case Op::AccelSendIdx:
-  case Op::AccelRecv:
-  case Op::CallCopyToDma:
-  case Op::CallCopyLiteralToDma:
-    return I.Dst;
-  default:
-    return -1;
-  }
-}
-
 /// Word count of [From, To), saturating where hostile offsets make the
 /// distance unrepresentable.
 int64_t distance(int64_t From, int64_t To) {
@@ -528,14 +503,14 @@ private:
     };
     for (size_t Pc = Begin; Pc < End; ++Pc) {
       const Inst &I = P[Pc];
-      drop(writeSlotOf(I));
+      drop(writeSlot(I));
       if (I.Code == Op::Generic && I.Aux >= 0 &&
           static_cast<size_t>(I.Aux) < V.generics().size()) {
         const PlanView::GenericPlan &G = V.generics()[I.Aux];
         for (int32_t S : G.BodyArgSlots)
           drop(S);
         for (const Inst &B : G.Body)
-          drop(writeSlotOf(B));
+          drop(writeSlot(B));
       }
     }
   }
@@ -869,7 +844,7 @@ void Verifier::interpret(size_t PcU, const Inst &I) {
       default:
         break;
       }
-      int32_t W = writeSlotOf(B);
+      int32_t W = writeSlot(B);
       if (W >= 0 && checkWrite(Pc, W)) {
         int64_t Out;
         if (evalConstDst(B, Facts, Out))

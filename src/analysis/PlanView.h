@@ -48,7 +48,6 @@ public:
   }
   unsigned numSlots() const { return Plan->NumSlots; }
   unsigned numArgs() const { return Plan->NumArgs; }
-  const std::string &funcName() const { return Plan->FuncName; }
 
   /// Stable per-instruction mnemonic used in diagnostics ("loop",
   /// "copy_to_dma", ...), matching ExecPlan::print's spelling.

@@ -6,10 +6,9 @@
 
 #include "analysis/ProtocolModel.h"
 
+#include "exec/Pipeline.h"
 #include "parser/AcceleratorConfig.h"
 #include "sim/AcceleratorModel.h"
-
-#include <algorithm>
 
 using namespace axi4mlir;
 using namespace axi4mlir::analysis;
@@ -26,10 +25,9 @@ ProtocolModel ProtocolModel::matmul(MM::Version Ver, int64_t Size) {
   return M;
 }
 
-ProtocolModel ProtocolModel::conv(int64_t MaxWindowWords) {
+ProtocolModel ProtocolModel::conv() {
   ProtocolModel M;
   M.Eng = Engine::Conv;
-  M.MaxWindowWords = MaxWindowWords;
   // Matches ConvAccelerator::reset(): one channel, 1x1 filter until the
   // SET_* opcodes configure the real geometry.
   M.ConvIC = 1;
@@ -44,14 +42,7 @@ ProtocolModel::forAccelerator(const parser::AcceleratorDesc &Accel,
     FailureOr<MM::Version> Version = MM::versionFromName(Accel.Name, Error);
     if (failed(Version))
       return failure();
-    // Engine size from the largest configured tile, like axi4mlir-opt
-    // --run sizes the simulated board.
-    int64_t Size = 0;
-    for (int64_t Tile : Accel.AccelSize)
-      Size = std::max(Size, Tile);
-    if (Size <= 0)
-      Size = 8;
-    return matmul(*Version, Size);
+    return matmul(*Version, exec::engineSizeOf(Accel));
   }
   if (Accel.Kernel.find("conv") != std::string::npos)
     return conv();

@@ -63,17 +63,16 @@ struct AbstractWord {
 /// gives up (`gaveUp()`), further feeds are accepted silently.
 class ProtocolModel {
 public:
-  /// Builds the model matching how the tools build the simulated board:
-  /// matmul version from the accelerator name's `_vN` token and engine
-  /// size from the largest accel_size tile, conv with the default window
-  /// buffer. Fails (with \p Error) for unknown kernels or names.
+  /// Builds the model of the engine every run path simulates for
+  /// \p Accel: matmul version from the accelerator name's `_vN` token and
+  /// size from exec::engineSizeOf, conv with the default window buffer.
+  /// Fails (with \p Error) for unknown kernels or names.
   static FailureOr<ProtocolModel>
   forAccelerator(const parser::AcceleratorDesc &Accel, std::string &Error);
 
   static ProtocolModel matmul(sim::MatMulAccelerator::Version Ver,
                               int64_t Size);
-  static ProtocolModel conv(
-      int64_t MaxWindowWords = sim::ConvAccelerator::DefaultMaxWindowWords);
+  static ProtocolModel conv();
 
   /// Streams one word.
   std::string feedWord(const AbstractWord &W);
@@ -141,7 +140,7 @@ private:
   int64_t CfgFill = 0;
 
   // Conv configuration.
-  int64_t MaxWindowWords = 0;
+  int64_t MaxWindowWords = sim::ConvAccelerator::DefaultMaxWindowWords;
   int64_t ConvIC = 1, ConvFS = 1; ///< -1 = unknown
   int64_t ConvAccWords = 0;       ///< accumulated output values (-1 unknown)
 

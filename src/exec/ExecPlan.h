@@ -129,7 +129,6 @@ public:
   size_t numInstructions() const { return Program.size(); }
   unsigned numSlots() const { return NumSlots; }
   unsigned numArguments() const { return NumArgs; }
-  const std::string &funcName() const { return FuncName; }
 
   /// Prints a stable textual disassembly of the program (one instruction
   /// per line, slots as %N, loop targets as @PC). Golden tests pin this

@@ -1442,13 +1442,5 @@ unsigned DecodedPlan::numSpecializedKernels() const {
   return Impl->NumSpecialized;
 }
 
-bool DecodedPlan::usesComputedGoto() {
-#if AXI4MLIR_SWITCH_DISPATCH
-  return false;
-#else
-  return true;
-#endif
-}
-
 } // namespace exec
 } // namespace axi4mlir

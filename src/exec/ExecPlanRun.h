@@ -75,10 +75,6 @@ public:
   /// linalg.generic sites bound to a specialized micro-kernel.
   unsigned numSpecializedKernels() const;
 
-  /// True when this build dispatches via computed goto (GCC/Clang and
-  /// not AXI4MLIR_FORCE_SWITCH_DISPATCH).
-  static bool usesComputedGoto();
-
 private:
   DecodedPlan();
   std::unique_ptr<DecodedProgram> Impl;

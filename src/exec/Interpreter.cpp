@@ -11,7 +11,7 @@
 #include "dialects/Linalg.h"
 #include "dialects/MemRef.h"
 #include "dialects/SCF.h"
-#include "exec/ExecPlan.h"
+#include "exec/Pipeline.h"
 #include "runtime/StridedCopy.h"
 #include "transforms/Passes.h"
 
@@ -59,30 +59,20 @@ LogicalResult Interpreter::run(func::FuncOp Func,
       Hit = Memo.ArgTypes[I] == Entry.getArgument(I).getType();
     if (Hit) {
       Soc.perf().onPlanCacheHit();
-      OptStats = Memo.Stats;
     } else {
       Soc.perf().onPlanCacheMiss();
-      std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
-      if (!Plan)
+      PlanMemo Fresh;
+      Fresh.For = Func.getOperation();
+      Fresh.FuncName = Func.getFuncName();
+      Fresh.TopLevelOps = TopLevelOps;
+      for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
+        Fresh.ArgTypes.push_back(Entry.getArgument(I).getType());
+      Fresh.Decoded = compileDriver(Func, PlanOptions, Error, &Fresh.Stats);
+      if (!Fresh.Decoded)
         return failure();
-      opt::PlanOptStats Stats = opt::optimizePlan(*Plan, PlanOptions);
-      if (!Stats.VerifyError.empty()) {
-        // Verify-each caught a miscompile between passes: refuse to
-        // memoize or run the rejected plan.
-        Error = "plan verification failed after " + Stats.VerifyFailedPass +
-                ": " + Stats.VerifyError;
-        return failure();
-      }
       if (Memo.Decoded)
         Soc.perf().onPlanCacheEviction();
-      Memo = PlanMemo();
-      Memo.Decoded = DecodedPlan::decode(*Plan);
-      Memo.For = Func.getOperation();
-      Memo.FuncName = Func.getFuncName();
-      Memo.TopLevelOps = TopLevelOps;
-      for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
-        Memo.ArgTypes.push_back(Entry.getArgument(I).getType());
-      Memo.Stats = OptStats = Stats;
+      Memo = std::move(Fresh);
     }
     return Memo.Decoded->run(Soc, Runtime, Arguments, Error);
   }

@@ -53,9 +53,8 @@ public:
   /// Off by default to preserve the bit-identical threaded-vs-walker
   /// counter guarantee. Clears the plan memo.
   void setPlanOptions(const opt::PlanOptOptions &Options);
-  const opt::PlanOptOptions &planOptions() const { return PlanOptions; }
-  /// What the optimizer did to the most recently compiled plan.
-  const opt::PlanOptStats &planOptStats() const { return OptStats; }
+  /// What the optimizer did to the memoized plan.
+  const opt::PlanOptStats &planOptStats() const { return Memo.Stats; }
 
   /// Runs \p Func with memref arguments bound to \p Arguments. In
   /// threaded mode the decoded plan of the last function run is memoized,
@@ -91,14 +90,13 @@ private:
   runtime::DmaRuntime *Runtime;
   ExecMode Mode;
   opt::PlanOptOptions PlanOptions;
-  opt::PlanOptStats OptStats;
   /// The decoded plan of the last function run. The fingerprint (op
   /// address, name, structural argument types, top-level op count)
   /// invalidates on the realistic staleness cases; callers mutating a
   /// function body in place without changing any of those must use a
   /// fresh Interpreter.
   struct PlanMemo {
-    std::unique_ptr<DecodedPlan> Decoded;
+    std::shared_ptr<const DecodedPlan> Decoded;
     Operation *For = nullptr;
     std::string FuncName;
     size_t TopLevelOps = 0;

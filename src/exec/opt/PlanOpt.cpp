@@ -66,28 +66,6 @@ LogicalResult opt::parsePlanOptSpec(const std::string &Spec,
   return success();
 }
 
-std::string opt::toString(const PlanOptOptions &Options) {
-  if (!Options.any())
-    return "none";
-  if (Options.Fold && Options.Dce && Options.Licm && Options.Coalesce)
-    return "all";
-  std::string Out;
-  auto append = [&](const char *Name) {
-    if (!Out.empty())
-      Out += ',';
-    Out += Name;
-  };
-  if (Options.Fold)
-    append("fold");
-  if (Options.Dce)
-    append("dce");
-  if (Options.Licm)
-    append("licm");
-  if (Options.Coalesce)
-    append("coalesce");
-  return Out;
-}
-
 //===----------------------------------------------------------------------===//
 // PlanOptimizer
 //===----------------------------------------------------------------------===//
@@ -265,30 +243,6 @@ private:
     }
   }
 
-  /// The slot the instruction defines, or -1.
-  static int32_t writeSlot(const Inst &I) {
-    switch (I.Code) {
-    case POp::ConstInt:
-    case POp::ConstFloat:
-    case POp::Binary:
-    case POp::IndexCast:
-    case POp::LoopBegin: // induction variable
-    case POp::Alloc:
-    case POp::Load:
-    case POp::SubView:
-    case POp::AccelSendLiteral:
-    case POp::AccelSend:
-    case POp::AccelSendDim:
-    case POp::AccelSendIdx:
-    case POp::AccelRecv:
-    case POp::CallCopyToDma:
-    case POp::CallCopyLiteralToDma:
-      return I.Dst;
-    default:
-      return -1;
-    }
-  }
-
   /// True for instructions that charge no perf event at execution time.
   static bool isUncharged(POp Code) {
     return Code == POp::ConstInt || Code == POp::ConstFloat ||
@@ -342,10 +296,10 @@ private:
         for (int32_t S : G.BodyArgSlots)
           note(S, nullptr);
         for (const Inst &B : G.Body)
-          note(writeSlot(B), &B);
+          note(analysis::writeSlot(B), &B);
         return;
       }
-      note(writeSlot(I), &I);
+      note(analysis::writeSlot(I), &I);
       int64_t Count = analysis::staticElementCount(View, I);
       int32_t Slot = I.Dst;
       if (Count < 0 || Slot < 0)
@@ -689,7 +643,7 @@ private:
         return;
       }
       const Inst &I = Nd.I;
-      int32_t W = writeSlot(I);
+      int32_t W = analysis::writeSlot(I);
       if (W >= 0)
         Facts.Written.insert(W);
       switch (I.Code) {
@@ -698,7 +652,7 @@ private:
         for (int32_t S : G.BodyArgSlots)
           Facts.Written.insert(S);
         for (const Inst &B : G.Body) {
-          int32_t BW = writeSlot(B);
+          int32_t BW = analysis::writeSlot(B);
           if (BW >= 0)
             Facts.Written.insert(BW);
         }
@@ -835,7 +789,7 @@ private:
           ++Stats.HoistedChargedInsts;
         else
           ++Stats.HoistedUnchargedInsts;
-        int32_t W = writeSlot(I);
+        int32_t W = analysis::writeSlot(I);
         if (W >= 0)
           Facts.Written.erase(W);
         Hoisted.push_back(std::move(Nd));

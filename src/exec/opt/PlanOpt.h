@@ -91,9 +91,6 @@ struct PlanOptOptions {
 LogicalResult parsePlanOptSpec(const std::string &Spec,
                                PlanOptOptions &Options, std::string &Error);
 
-/// Canonical spelling of \p Options ("none", "all" or a comma list).
-std::string toString(const PlanOptOptions &Options);
-
 /// What the pipeline did — the equivalence harness uses these to decide
 /// which counter contract applies to a given run.
 struct PlanOptStats {

@@ -23,6 +23,32 @@ uint64_t DmaRuntime::regionAddress(bool Input, int64_t OffsetWords) const {
   return reinterpret_cast<uint64_t>(Base + OffsetWords);
 }
 
+/// True when \p Dma is initialized and words [\p OffsetWords,
+/// \p OffsetWords + \p Words) lie inside its input (\p Input) or output
+/// staging region as dma_init sized it; otherwise signals an error naming
+/// \p Call, the range and the region. The plan chooses the offset and the
+/// config sizes the region, so neither is trusted: the sum is never formed
+/// where it could overflow.
+static bool checkStaging(sim::DmaEngine &Dma, const char *Call, bool Input,
+                         int64_t OffsetWords, int64_t Words) {
+  if (!Dma.isInitialized()) {
+    Dma.signalError("dma: " + std::string(Call) + " before dma_init");
+    return false;
+  }
+  size_t RegionWords =
+      Input ? Dma.inputRegionWords() : Dma.outputRegionWords();
+  uint64_t Offset = static_cast<uint64_t>(OffsetWords);
+  if (OffsetWords >= 0 && Words >= 0 && Offset <= RegionWords &&
+      static_cast<uint64_t>(Words) <= RegionWords - Offset)
+    return true;
+  Dma.signalError("dma: " + std::string(Call) + " of " +
+                  std::to_string(Words) + " word(s) at offset " +
+                  std::to_string(OffsetWords) + " exceeds the " +
+                  std::to_string(RegionWords) + "-word " +
+                  (Input ? "input" : "output") + " staging region");
+  return false;
+}
+
 /// Drops size-1 dimensions from a descriptor: the rank-specialization the
 /// paper applies to "known rank sizes" (Sec. IV-B). A [1, iC, 1, 1] conv
 /// window collapses to a rank-1 sweep, saving per-row recursion overhead.
@@ -65,12 +91,9 @@ static void contiguousStrides(const std::vector<int64_t> &Sizes,
 
 int64_t DmaRuntime::copyToDmaRegion(const MemRefDesc &Source,
                                     int64_t OffsetWords) {
-  // Diagnosable in every build type (was a Release-stripped assert that
-  // left an out-of-bounds write behind).
-  if (!Soc.dma().isInitialized()) {
-    Soc.dma().signalError("dma: copy_to_dma_region before dma_init");
+  if (!checkStaging(Soc.dma(), "copy_to_dma_region", /*Input=*/true,
+                    OffsetWords, Source.numElements()))
     return OffsetWords;
-  }
   MemRefDesc Collapsed = collapseUnitDims(Source);
   int64_t RegionStrides[detail::MaxCopyRank];
   contiguousStrides(Collapsed.Sizes, RegionStrides);
@@ -90,10 +113,9 @@ int64_t DmaRuntime::copyToDmaRegion(const MemRefDesc &Source,
 
 int64_t DmaRuntime::copyLiteralToDmaRegion(int32_t Literal,
                                            int64_t OffsetWords) {
-  if (!Soc.dma().isInitialized()) {
-    Soc.dma().signalError("dma: copy_literal_to_dma_region before dma_init");
+  if (!checkStaging(Soc.dma(), "copy_literal_to_dma_region", /*Input=*/true,
+                    OffsetWords, 1))
     return OffsetWords;
-  }
   Soc.dma().inputRegion()[OffsetWords] = static_cast<uint32_t>(Literal);
   Soc.perf().onScalarStore(regionAddress(/*Input=*/true, OffsetWords), 4);
   Soc.perf().onArith(1);
@@ -122,10 +144,9 @@ sim::AccelStatus DmaRuntime::dmaWaitRecvCompletion() {
 
 void DmaRuntime::copyFromDmaRegion(const MemRefDesc &OriginalDest,
                                    int64_t OffsetWords, bool Accumulate) {
-  if (!Soc.dma().isInitialized()) {
-    Soc.dma().signalError("dma: copy_from_dma_region before dma_init");
+  if (!checkStaging(Soc.dma(), "copy_from_dma_region", /*Input=*/false,
+                    OffsetWords, OriginalDest.numElements()))
     return;
-  }
   MemRefDesc Dest = collapseUnitDims(OriginalDest);
   int64_t RegionStrides[detail::MaxCopyRank];
   contiguousStrides(Dest.Sizes, RegionStrides);

@@ -38,9 +38,6 @@ public:
   explicit DmaRuntime(sim::SoC &Soc, bool SpecializeCopies = true)
       : Soc(Soc), SpecializeCopies(SpecializeCopies) {}
 
-  bool copySpecializationEnabled() const { return SpecializeCopies; }
-  void setCopySpecialization(bool Enabled) { SpecializeCopies = Enabled; }
-
   /// Initializes the DMA engine and maps the staging regions. Executed
   /// once per application (paper Sec. III-C, dma_init_config).
   void dmaInit(const accel::DmaInitConfig &Config);
@@ -48,6 +45,8 @@ public:
   /// Copies a (possibly strided) memref tile into the input staging region
   /// starting at \p OffsetWords. Returns the offset one past the data, so
   /// consecutive copies batch into a single send (paper Sec. III-A).
+  /// Like every staging copy, a copy whose word range leaves the region
+  /// dma_init sized writes nothing and signals an error.
   int64_t copyToDmaRegion(const MemRefDesc &Source, int64_t OffsetWords);
 
   /// Stores one 32-bit literal (an opcode) at \p OffsetWords.
@@ -98,7 +97,7 @@ private:
   uint64_t regionAddress(bool Input, int64_t OffsetWords) const;
 
   sim::SoC &Soc;
-  bool SpecializeCopies;
+  const bool SpecializeCopies;
 };
 
 } // namespace runtime

@@ -8,11 +8,8 @@
 
 #include "dialects/InitAllDialects.h"
 #include "dialects/Linalg.h"
-#include "exec/ExecPlan.h"
 #include "exec/Pipeline.h"
-#include "exec/Reference.h"
 #include "runtime/DmaRuntime.h"
-#include "sim/MatMulAccelerator.h"
 #include "sim/SoC.h"
 #include "transforms/Passes.h"
 #include "transforms/TilingPlan.h"
@@ -63,12 +60,12 @@ const char *serve::toString(BreakerState State) {
 
 namespace {
 
-const char *kernelNameOf(JobKind Kind) {
-  return Kind == JobKind::MatMul ? "linalg.matmul" : "linalg.conv_2d_nchw_fchw";
-}
-
-int64_t convOutHW(const JobRequest &Request) {
-  return (Request.InHW - Request.FilterHW) / Request.Stride + 1;
+exec::KernelShape shapeOf(const JobRequest &Request) {
+  return Request.Kind == JobKind::MatMul
+             ? exec::KernelShape::matmul(Request.M, Request.N, Request.K)
+             : exec::KernelShape::conv(1, Request.InChannels, Request.InHW,
+                                       Request.OutChannels, Request.FilterHW,
+                                       Request.Stride);
 }
 
 bool validateRequest(const JobRequest &Request, std::string &Reason) {
@@ -96,7 +93,7 @@ bool validateRequest(const JobRequest &Request, std::string &Reason) {
 std::vector<int64_t> loopRangesOf(const JobRequest &Request) {
   if (Request.Kind == JobKind::MatMul)
     return {Request.M, Request.N, Request.K};
-  int64_t Out = convOutHW(Request);
+  int64_t Out = shapeOf(Request).outHW();
   return {1,
           Request.OutChannels,
           Out,
@@ -139,46 +136,12 @@ double cpuEstimateMs(const sim::SoCParams &Params, const JobRequest &Request) {
   if (Request.Kind == JobKind::MatMul) {
     Macs = double(Request.M) * double(Request.N) * double(Request.K);
   } else {
-    double Out = double(convOutHW(Request));
+    double Out = double(shapeOf(Request).outHW());
     Macs = double(Request.OutChannels) * Out * Out *
            double(Request.InChannels) * double(Request.FilterHW) *
            double(Request.FilterHW);
   }
   return Params.taskClockMs(Macs * 8.0 * Params.CyclesPerInstruction, 0);
-}
-
-/// Accelerator engine size for the SoC factory: the largest configured
-/// tile (the square engines store the full tile), floor 8 when the config
-/// only has sentinel entries.
-int64_t accelTileSize(const parser::AcceleratorDesc &Accel) {
-  int64_t Size = 0;
-  for (int64_t Tile : Accel.AccelSize)
-    Size = std::max(Size, Tile);
-  return Size <= 0 ? 8 : Size;
-}
-
-std::vector<MemRefDesc> makeJobBuffers(const JobRequest &Request) {
-  std::vector<MemRefDesc> Args;
-  if (Request.Kind == JobKind::MatMul) {
-    Args.push_back(MemRefDesc::alloc({Request.M, Request.K}, Request.Elem));
-    Args.push_back(MemRefDesc::alloc({Request.K, Request.N}, Request.Elem));
-    Args.push_back(MemRefDesc::alloc({Request.M, Request.N}, Request.Elem));
-  } else {
-    int64_t Out = convOutHW(Request);
-    Args.push_back(MemRefDesc::alloc(
-        {1, Request.InChannels, Request.InHW, Request.InHW}, Request.Elem));
-    Args.push_back(MemRefDesc::alloc({Request.OutChannels, Request.InChannels,
-                                      Request.FilterHW, Request.FilterHW},
-                                     Request.Elem));
-    Args.push_back(
-        MemRefDesc::alloc({1, Request.OutChannels, Out, Out}, Request.Elem));
-  }
-  // Same seeds as the solo pipeline entry points, so checksums are
-  // comparable across routing decisions and the CPU fallback.
-  exec::fillRandom(Args[0], Request.Seed);
-  exec::fillRandom(Args[1], Request.Seed + 1);
-  exec::fillRandom(Args[2], Request.Seed + 2);
-  return Args;
 }
 
 /// FNV-1a 64 over the output buffer words.
@@ -196,9 +159,9 @@ uint64_t checksumOf(const MemRefDesc &Desc) {
 }
 
 /// Compiles one job driver: builds the workload IR, runs the AXI4MLIR
-/// pipeline for \p Accel (or named->generic for the CPU path), compiles
-/// the ExecPlan and pre-decodes it. The IR and context are discarded —
-/// DecodedPlan owns copies of everything it executes.
+/// pipeline for \p Accel (or named->generic for the CPU path) and
+/// compiles the driver without optimizer passes. The IR and context are
+/// discarded — DecodedPlan owns copies of everything it executes.
 std::shared_ptr<const CompiledKernel>
 compileKernel(const JobRequest &Request, const parser::AcceleratorDesc *Accel,
               const ServerOptions &Options, std::string &Error) {
@@ -206,12 +169,7 @@ compileKernel(const JobRequest &Request, const parser::AcceleratorDesc *Accel,
   registerAllDialects(Context);
   OpBuilder Builder(&Context);
   func::FuncOp Func =
-      Request.Kind == JobKind::MatMul
-          ? exec::buildMatMulFunc(Builder, Request.M, Request.N, Request.K,
-                                  Request.Elem)
-          : exec::buildConvFunc(Builder, 1, Request.InChannels, Request.InHW,
-                                Request.OutChannels, Request.FilterHW,
-                                Request.Stride, Request.Elem);
+      exec::buildKernelFunc(Builder, shapeOf(Request), Request.Elem);
   OwningOpRef Owner(Func.getOperation());
 
   auto Kernel = std::make_shared<CompiledKernel>();
@@ -232,11 +190,9 @@ compileKernel(const JobRequest &Request, const parser::AcceleratorDesc *Accel,
     return nullptr;
   }
 
-  std::unique_ptr<exec::ExecPlan> Plan = exec::ExecPlan::compile(Func, Error);
-  if (!Plan)
-    return nullptr;
-  Kernel->Decoded = exec::DecodedPlan::decode(*Plan);
-  return Kernel;
+  Kernel->Decoded =
+      exec::compileDriver(Func, exec::opt::PlanOptOptions(), Error);
+  return Kernel->Decoded ? Kernel : nullptr;
 }
 
 } // namespace
@@ -274,7 +230,6 @@ struct Server::AttemptSetup {
   int Instance = -1; // -1 = host-CPU fallback
   const parser::AcceleratorDesc *Accel = nullptr;
   bool IsProbe = false;
-  bool Faulty = false;
   sim::FaultPlan Faults;
   unsigned Spares = 0;
 };
@@ -349,7 +304,7 @@ double Server::Impl::costForLocked(const JobRequest &Request,
 /// and transition to HalfOpen at zero; a half-open instance admits a
 /// single probe at a time.
 int Server::Impl::routeLocked(const JobRequest &Request, int Exclude) {
-  const char *Kernel = kernelNameOf(Request.Kind);
+  const char *Kernel = shapeOf(Request).kernelName();
   for (int Pass = 0; Pass < 2; ++Pass) {
     int Best = -1;
     double BestScore = 0;
@@ -401,8 +356,7 @@ Server::AttemptSetup Server::Impl::beginAttemptLocked(int Chosen,
   }
   bool InWindow = Inst.Faults.JobsAffected == 0 ||
                   Inst.AttemptsStarted < Inst.Faults.JobsAffected;
-  if (InWindow && (!Inst.Faults.Plan.empty() || Inst.Faults.Spares > 0)) {
-    Setup.Faulty = true;
+  if (InWindow) {
     Setup.Faults = Inst.Faults.Plan;
     Setup.Spares = Inst.Faults.Spares;
   }
@@ -460,22 +414,18 @@ Server::AttemptResult Server::Impl::runAttempt(const JobRequest &Request,
     Plans.insert(Key, Kernel);
   }
 
-  std::vector<MemRefDesc> Args = makeJobBuffers(Request);
+  // Same seeds as the solo pipeline entry points, so checksums are
+  // comparable across routing decisions and the CPU fallback.
+  std::vector<MemRefDesc> Args =
+      exec::makeKernelBuffers(shapeOf(Request), Request.Elem, Request.Seed);
 
-  std::unique_ptr<sim::SoC> Soc;
-  if (!Setup.Accel) {
-    Soc = sim::makeCpuOnlySoC(Options.Params);
-  } else if (Request.Kind == JobKind::MatMul) {
-    FailureOr<sim::MatMulAccelerator::Version> Version =
-        sim::MatMulAccelerator::versionFromName(Setup.Accel->Name, Error);
-    if (failed(Version)) {
-      Result.Error = Error;
-      return Result;
-    }
-    Soc = sim::makeMatMulSoC(*Version, accelTileSize(*Setup.Accel),
-                             Request.Elem, Options.Params);
-  } else {
-    Soc = sim::makeConvSoC(Request.Elem, Options.Params);
+  std::unique_ptr<sim::SoC> Soc =
+      Setup.Accel ? exec::makeSoCFor(*Setup.Accel, Request.Elem,
+                                     Options.Params, Error)
+                  : sim::makeCpuOnlySoC(Options.Params);
+  if (!Soc) {
+    Result.Error = Error;
+    return Result;
   }
   if (CacheHit)
     Soc->perf().onPlanCacheHit();
@@ -485,12 +435,10 @@ Server::AttemptResult Server::Impl::runAttempt(const JobRequest &Request,
   // Replay the instance's fault schedule through a fresh injector so every
   // affected attempt sees the deterministic schedule from the start.
   std::optional<sim::FaultInjector> Injector;
-  if (Setup.Faulty) {
-    for (unsigned I = 0; I < Setup.Spares; ++I)
-      Soc->addSpareAccelerator(Soc->accelerator()->cloneFresh(),
-                               Kernel->EstimatedCostMs);
-    Injector.emplace(Setup.Faults);
-    Soc->attachFaultInjector(&*Injector);
+  if (failed(exec::armFaults(*Soc, Setup.Faults, Setup.Spares,
+                             Kernel->EstimatedCostMs, Injector, Error))) {
+    Result.Error = Error;
+    return Result;
   }
 
   std::optional<runtime::DmaRuntime> Runtime;
@@ -527,7 +475,7 @@ void Server::Impl::processJobLocked(PendingJob Job,
       Out.Status = JobStatus::Failed;
       Out.Error = Attempt == 0
                       ? std::string("no healthy instance for kernel '") +
-                            kernelNameOf(Job.Request.Kind) +
+                            shapeOf(Job.Request).kernelName() +
                             "' and host-CPU fallback is disabled"
                       : "no healthy instance remains after " +
                             std::to_string(Attempt) +
@@ -721,7 +669,7 @@ uint64_t Server::submit(const JobRequest &Request) {
   double BestMs = -1;
   double ArrivalMs = -1;
   for (Instance &Inst : S.Instances) {
-    if (Inst.Accel.Kernel != kernelNameOf(Request.Kind))
+    if (Inst.Accel.Kernel != shapeOf(Request).kernelName())
       continue;
     double Cost = S.costForLocked(Request, Inst.Accel);
     if (Cost >= 0 && (BestMs < 0 || Cost < BestMs))
@@ -733,7 +681,7 @@ uint64_t Server::submit(const JobRequest &Request) {
     if (!S.Options.CpuFallback)
       return Shed(JobStatus::Rejected,
                   std::string("no configured instance supports kernel '") +
-                      kernelNameOf(Request.Kind) +
+                      shapeOf(Request).kernelName() +
                       "' and host-CPU fallback is disabled");
     BestMs = cpuEstimateMs(S.Options.Params, Request);
   }

@@ -80,9 +80,9 @@ struct JobRequest {
 
   sim::ElemKind Elem = sim::ElemKind::I32;
 
-  /// Data seed: operands are filled fillRandom(Seed / Seed+1 / Seed+2),
-  /// exactly like the solo pipeline entry points, so checksums are
-  /// comparable across routing decisions.
+  /// Data seed for exec::makeKernelBuffers, the buffer maker the solo
+  /// pipeline entry points use too, so checksums are comparable across
+  /// routing decisions.
   uint32_t Seed = 7;
 
   /// Modeled-latency budget in ms. Negative = use the server default,

@@ -36,8 +36,6 @@ public:
 
   void reset();
 
-  uint64_t getNumSets() const { return NumSets; }
-
 private:
   int64_t LineBytes;
   uint64_t NumSets;

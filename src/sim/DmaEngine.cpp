@@ -90,7 +90,8 @@ AccelStatus DmaEngine::startSend(size_t Words, size_t OffsetWords) {
     signalError("dma: dma_start_send before dma_init");
     return latch(AccelStatus::Fatal);
   }
-  if (OffsetWords + Words > InputRegion.size()) {
+  if (OffsetWords > InputRegion.size() ||
+      Words > InputRegion.size() - OffsetWords) {
     signalError("dma: send burst exceeds the input staging region");
     return latch(AccelStatus::Fatal);
   }
@@ -308,7 +309,8 @@ AccelStatus DmaEngine::startRecv(size_t Words, size_t OffsetWords) {
     signalError("dma: dma_start_recv before dma_init");
     return latch(AccelStatus::Fatal);
   }
-  if (OffsetWords + Words > OutputRegion.size()) {
+  if (OffsetWords > OutputRegion.size() ||
+      Words > OutputRegion.size() - OffsetWords) {
     signalError("dma: recv burst exceeds the output staging region");
     return latch(AccelStatus::Fatal);
   }

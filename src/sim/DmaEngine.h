@@ -119,17 +119,12 @@ public:
   /// the injector and must also attach it to the accelerator model (see
   /// SoC::attachFaultInjector, which does both).
   void attachFaultInjector(FaultInjector *I);
-  FaultInjector *faultInjector() const { return Injector; }
 
   /// Registers a failover target, ranked by \p Score (lower is better;
   /// ties resolve to the earliest registration). Spares must speak the
   /// exact protocol of the primary — the compiled driver's opcode stream
   /// is replayed onto them verbatim. The caller retains ownership.
   void addSpare(AcceleratorModel *Spare, double Score);
-  size_t spareCount() const { return Spares.size(); }
-
-  /// True once a CPU fallback rebound the stream to a host-executed model.
-  bool cpuFallbackActive() const { return CpuFallbackActive; }
 
 private:
   AccelStatus latch(AccelStatus Status) {

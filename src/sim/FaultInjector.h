@@ -108,14 +108,12 @@ public:
   const FaultEvent *querySend();
   /// Marks the current logical send delivered (or silently dropped).
   void commitSend() { ++SendCursor; }
-  uint64_t sendCursor() const { return SendCursor; }
 
   /// Consults the plan for the opcode the accelerator is about to start.
   /// Auto-commits (advances the opcode cursor) unless the opcode is
   /// refused with a transient error — a refused opcode is re-presented by
   /// the retry, consuming another attempt of the same event.
   const FaultEvent *onOpcode();
-  uint64_t opcodeCursor() const { return OpcodeCursor; }
 
   /// Total events fired so far (feeds the FaultsInjected counter).
   uint64_t faultsFired() const { return TotalFired; }

@@ -58,8 +58,6 @@ public:
   int64_t getTileM() const { return TileM; }
   int64_t getTileN() const { return TileN; }
   int64_t getTileK() const { return TileK; }
-  /// Per-operand internal buffer capacity in words.
-  int64_t getBufferCapacityWords() const { return BufferCapacityWords; }
   uint64_t getTilesComputed() const { return TilesComputed; }
 
   //===--------------------------------------------------------------------===//

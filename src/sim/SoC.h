@@ -62,7 +62,6 @@ public:
     Dma.addSpare(Spare.get(), Score);
     SpareAccels.push_back(std::move(Spare));
   }
-  size_t spareAcceleratorCount() const { return SpareAccels.size(); }
 
 private:
   SoCParams Params;
@@ -82,11 +81,9 @@ makeMatMulSoC(MatMulAccelerator::Version Ver, int64_t Size,
 }
 
 /// Builds a simulated board hosting the Conv2D accelerator.
-inline std::unique_ptr<SoC>
-makeConvSoC(ElemKind Kind = ElemKind::I32, SoCParams Params = SoCParams(),
-            int64_t MaxWindowWords = 256 * 7 * 7) {
-  auto Accel = std::make_unique<ConvAccelerator>(Kind, Params,
-                                                 MaxWindowWords);
+inline std::unique_ptr<SoC> makeConvSoC(ElemKind Kind = ElemKind::I32,
+                                        SoCParams Params = SoCParams()) {
+  auto Accel = std::make_unique<ConvAccelerator>(Kind, Params);
   return std::make_unique<SoC>(std::move(Accel), Params);
 }
 

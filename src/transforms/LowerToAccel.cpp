@@ -50,6 +50,9 @@ using accel::OpcodeAction;
 
 namespace {
 
+/// Element width in bytes: the AXI stream carries 32-bit words.
+constexpr int64_t ElementBytes = 4;
+
 //===----------------------------------------------------------------------===//
 // Linear analysis of indexing expressions
 //===----------------------------------------------------------------------===//
@@ -291,7 +294,7 @@ void AccelLoweringEmitter::chooseCpuTiles() {
           Size += std::abs(Coeff) * (Tiles[Dim] - 1);
         Elements *= Size;
       }
-      Total += Elements * Options.ElementBytes;
+      Total += Elements * ElementBytes;
     }
     return Total;
   };

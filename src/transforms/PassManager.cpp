@@ -17,8 +17,7 @@ LogicalResult PassManager::run(func::FuncOp Func, std::string &Error) {
       Error = "pass '" + Name + "' failed: " + Error;
       return failure();
     }
-    if (VerifyAfterEach &&
-        failed(verify(Func.getOperation(), Error))) {
+    if (failed(verify(Func.getOperation(), Error))) {
       Error = "IR verification failed after pass '" + Name + "': " + Error;
       return failure();
     }

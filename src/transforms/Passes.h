@@ -88,8 +88,6 @@ struct LoweringOptions {
   bool EnableCpuTiling = true;
   /// Last-level cache capacity used by the tiling heuristic.
   int64_t CacheBytes = 512 * 1024;
-  /// Element width in bytes (the AXI stream carries 32-bit words).
-  int64_t ElementBytes = 4;
   /// Partial-tile strategy used when planning (pad, peel or reject).
   RemainderMode Remainder = RemainderMode::Pad;
   /// SoC calibration for the accelerator-dispatch cost model.
@@ -119,14 +117,11 @@ inline constexpr const char *WaitRecv = "axirt.wait_recv";
 inline constexpr const char *CopyFromDma = "axirt.copy_from_dma";
 } // namespace rtcall
 
-/// A tiny pass manager: runs passes in order, optionally verifying after
+/// A tiny pass manager: runs passes in order, verifying the IR after
 /// each, collecting the first error.
 class PassManager {
 public:
   using PassFn = std::function<LogicalResult(func::FuncOp, std::string &)>;
-
-  explicit PassManager(bool VerifyAfterEach = true)
-      : VerifyAfterEach(VerifyAfterEach) {}
 
   void addPass(std::string Name, PassFn Fn) {
     Passes.emplace_back(std::move(Name), std::move(Fn));
@@ -138,7 +133,6 @@ public:
 
 private:
   std::vector<std::pair<std::string, PassFn>> Passes;
-  bool VerifyAfterEach;
 };
 
 /// Builds the standard AXI4MLIR pipeline over a set of candidate

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace axi4mlir;
 using namespace axi4mlir::runtime;
 using namespace axi4mlir::sim;
@@ -239,6 +241,108 @@ TEST(DmaRuntime, EndToEndSendComputeRecv) {
 
   ASSERT_FALSE(Runtime.hadError()) << Runtime.errorMessage();
   EXPECT_TRUE(exec::memrefEquals(Expected, C));
+}
+
+//===----------------------------------------------------------------------===//
+// Staging bounds: every copy and DMA start checks its word range against
+// the region dma_init sized, writes nothing and signals Fatal when it
+// leaves it (the offsets come from the plan, the sizes from the config).
+//===----------------------------------------------------------------------===//
+
+/// A board whose staging regions hold 16 words each.
+struct SmallRegions {
+  std::unique_ptr<SoC> Soc = makeBoard();
+  DmaRuntime Runtime{*Soc};
+
+  SmallRegions() {
+    accel::DmaInitConfig Config;
+    Config.InputBufferSize = 16 * 4;
+    Config.OutputBufferSize = 16 * 4;
+    Runtime.dmaInit(Config);
+  }
+
+  bool regionsUntouched() const {
+    const DmaEngine &Dma = Soc->dma();
+    for (size_t I = 0; I < 16; ++I)
+      if (Dma.inputRegion()[I] != 0 || Dma.outputRegion()[I] != 0)
+        return false;
+    return true;
+  }
+
+  void expectRejected(const std::string &Diagnostic) {
+    EXPECT_EQ(Runtime.status(), AccelStatus::Fatal);
+    EXPECT_EQ(Runtime.errorMessage(), Diagnostic);
+    EXPECT_TRUE(regionsUntouched());
+    EXPECT_EQ(Soc->report().DmaTransfers, 0u);
+  }
+};
+
+MemRefDesc filledTile(int64_t Rows, int64_t Cols) {
+  MemRefDesc Tile = MemRefDesc::alloc({Rows, Cols});
+  for (int64_t I = 0; I < Rows; ++I)
+    for (int64_t J = 0; J < Cols; ++J)
+      Tile.write({I, J}, 1 + I * Cols + J);
+  return Tile;
+}
+
+TEST(DmaRuntimeBounds, CopyToDmaRegionPastTheEnd) {
+  SmallRegions Board;
+  EXPECT_EQ(Board.Runtime.copyToDmaRegion(filledTile(2, 3), 12), 12);
+  Board.expectRejected("dma: copy_to_dma_region of 6 word(s) at offset 12 "
+                       "exceeds the 16-word input staging region");
+}
+
+TEST(DmaRuntimeBounds, CopyToDmaRegionNegativeOrHugeOffset) {
+  SmallRegions Negative;
+  Negative.Runtime.copyToDmaRegion(filledTile(2, 2), -4);
+  Negative.expectRejected("dma: copy_to_dma_region of 4 word(s) at offset "
+                          "-4 exceeds the 16-word input staging region");
+  // offset + words would wrap in 64 bits.
+  SmallRegions Huge;
+  int64_t Offset = std::numeric_limits<int64_t>::max() - 1;
+  Huge.Runtime.copyToDmaRegion(filledTile(2, 2), Offset);
+  Huge.expectRejected("dma: copy_to_dma_region of 4 word(s) at offset " +
+                      std::to_string(Offset) +
+                      " exceeds the 16-word input staging region");
+}
+
+TEST(DmaRuntimeBounds, CopyLiteralToDmaRegionOutOfRange) {
+  SmallRegions End;
+  EXPECT_EQ(End.Runtime.copyLiteralToDmaRegion(0x22, 16), 16);
+  End.expectRejected("dma: copy_literal_to_dma_region of 1 word(s) at "
+                     "offset 16 exceeds the 16-word input staging region");
+  SmallRegions Negative;
+  Negative.Runtime.copyLiteralToDmaRegion(0x22, -1);
+  Negative.expectRejected("dma: copy_literal_to_dma_region of 1 word(s) at "
+                          "offset -1 exceeds the 16-word input staging "
+                          "region");
+}
+
+TEST(DmaRuntimeBounds, CopyFromDmaRegionOutOfRange) {
+  SmallRegions Board;
+  MemRefDesc Dest = filledTile(4, 5);
+  Board.Runtime.copyFromDmaRegion(Dest, 0, /*Accumulate=*/false);
+  Board.expectRejected("dma: copy_from_dma_region of 20 word(s) at offset 0 "
+                       "exceeds the 16-word output staging region");
+  EXPECT_TRUE(exec::memrefEquals(Dest, filledTile(4, 5)));
+}
+
+TEST(DmaRuntimeBounds, StartSendNegativeOffsetOrLength) {
+  SmallRegions Offset;
+  EXPECT_EQ(Offset.Runtime.dmaStartSend(4, -1), AccelStatus::Fatal);
+  Offset.expectRejected("dma: send burst exceeds the input staging region");
+  SmallRegions Length;
+  EXPECT_EQ(Length.Runtime.dmaStartSend(-1, 0), AccelStatus::Fatal);
+  Length.expectRejected("dma: send burst exceeds the input staging region");
+}
+
+TEST(DmaRuntimeBounds, StartRecvNegativeOffsetOrLength) {
+  SmallRegions Offset;
+  EXPECT_EQ(Offset.Runtime.dmaStartRecv(4, -1), AccelStatus::Fatal);
+  Offset.expectRejected("dma: recv burst exceeds the output staging region");
+  SmallRegions Length;
+  EXPECT_EQ(Length.Runtime.dmaStartRecv(-1, 8), AccelStatus::Fatal);
+  Length.expectRejected("dma: recv burst exceeds the output staging region");
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 ///    trips a breaker, every *admitted* job completes with buffers
 ///    bit-identical to its fault-free solo run, across 2/4/8-instance
 ///    pools, and shed jobs carry structured statuses,
+///  * serve and the exec::run* entry points run the same driver,
 ///  * the shared plan cache's LRU bounds,
 ///  * a multi-threaded stress (the CI ThreadSanitizer target).
 ///
@@ -22,6 +23,7 @@
 #include "serve/Server.h"
 
 #include "exec/AccelConfigs.h"
+#include "exec/Pipeline.h"
 #include "serve/PlanCache.h"
 
 #include <gtest/gtest.h>
@@ -319,6 +321,51 @@ TEST(ServerTest, CpuFallbackCompletesBitIdentical) {
   EXPECT_FALSE(Solo.CpuFallback);
   EXPECT_EQ(Outcomes[0].Checksum, Solo.Checksum);
   EXPECT_EQ(S.stats().CpuFallbacks, 1u);
+}
+
+/// The counters that do not depend on where the host heap placed the
+/// buffers (the cache model is keyed on host addresses).
+void expectSameAddressFreeCounters(const sim::PerfReport &Serve,
+                                   const sim::PerfReport &Library) {
+  EXPECT_EQ(Serve.Instructions, Library.Instructions);
+  EXPECT_EQ(Serve.BranchInstructions, Library.BranchInstructions);
+  EXPECT_EQ(Serve.Loads, Library.Loads);
+  EXPECT_EQ(Serve.Stores, Library.Stores);
+  EXPECT_EQ(Serve.L1DAccesses, Library.L1DAccesses);
+  EXPECT_EQ(Serve.FabricCycles, Library.FabricCycles);
+  EXPECT_EQ(Serve.DmaTransfers, Library.DmaTransfers);
+  EXPECT_EQ(Serve.DmaBytesMoved, Library.DmaBytesMoved);
+}
+
+TEST(ServerTest, SoloJobRunsTheLibraryDriver) {
+  // Same accelerator, shape and seed through serve and through the
+  // library entry points: one run path, so the same driver executes.
+  ServerOptions Options = deterministicOptions();
+  JobOutcome MatMul =
+      runSoloJob(matmulJob(32, 16, 24, 5), {matmulAccel(8)}, Options);
+  ASSERT_EQ(MatMul.Status, JobStatus::Completed) << MatMul.Error;
+  exec::MatMulRunConfig MatMulConfig;
+  MatMulConfig.M = 32;
+  MatMulConfig.N = 16;
+  MatMulConfig.K = 24;
+  MatMulConfig.AccelSize = 8;
+  MatMulConfig.Flow = "As";
+  MatMulConfig.Seed = 5;
+  exec::RunResult Library = exec::runMatMulAxi4mlir(MatMulConfig);
+  ASSERT_TRUE(Library.Ok && Library.NumericsMatch) << Library.Error;
+  expectSameAddressFreeCounters(MatMul.Report, Library.Report);
+
+  JobOutcome Conv = runSoloJob(convJob(10, 9), {convAccel()}, Options);
+  ASSERT_EQ(Conv.Status, JobStatus::Completed) << Conv.Error;
+  exec::ConvRunConfig ConvConfig;
+  ConvConfig.InChannels = 8;
+  ConvConfig.InHW = 10;
+  ConvConfig.OutChannels = 8;
+  ConvConfig.FilterHW = 3;
+  ConvConfig.Seed = 9;
+  Library = exec::runConvAxi4mlir(ConvConfig);
+  ASSERT_TRUE(Library.Ok && Library.NumericsMatch) << Library.Error;
+  expectSameAddressFreeCounters(Conv.Report, Library.Report);
 }
 
 TEST(ServerTest, FallbackDisabledEndsInStructuredFailure) {

@@ -84,12 +84,10 @@ struct CliOptions {
   std::string FaultSpec;
   /// --spares override (config `faults.spares` when unset).
   int64_t Spares = -1;
-  // MatMul problem.
+  // Which workload flag was given (--matmul / --conv), and its shape.
   bool IsMatMul = false;
-  int64_t M = 0, N = 0, K = 0;
-  // Conv problem: iHW x iC x fHW x oC x stride.
   bool IsConv = false;
-  int64_t InHW = 0, InC = 0, FilterHW = 0, OutC = 0, Stride = 1;
+  exec::KernelShape Shape;
 };
 
 void printUsage(std::FILE *Out) {
@@ -193,20 +191,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
       if (!V || !parseDims(V, Dims) || Dims.size() != 3)
         return false;
       Options.IsMatMul = true;
-      Options.M = Dims[0];
-      Options.N = Dims[1];
-      Options.K = Dims[2];
+      Options.Shape = exec::KernelShape::matmul(Dims[0], Dims[1], Dims[2]);
     } else if (Arg == "--conv") {
       const char *V = next();
       std::vector<int64_t> Dims;
       if (!V || !parseDims(V, Dims) || Dims.size() != 5)
         return false;
+      // iHW x iC x fHW x oC x stride.
       Options.IsConv = true;
-      Options.InHW = Dims[0];
-      Options.InC = Dims[1];
-      Options.FilterHW = Dims[2];
-      Options.OutC = Dims[3];
-      Options.Stride = Dims[4];
+      Options.Shape = exec::KernelShape::conv(1, Dims[1], Dims[0], Dims[3],
+                                              Dims[2], Dims[4]);
     } else if (Arg == "--flow") {
       const char *V = next();
       if (!V)
@@ -313,8 +307,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
 
 /// Derives the workload description (kind, shape, element type) from a
 /// parsed `--input` function by locating its single named linalg kernel.
-/// Fills the same CliOptions fields the --matmul/--conv flags set.
-bool describeInputWorkload(func::FuncOp Func, CliOptions &Options,
+/// Fills the same shape the --matmul/--conv flags set.
+bool describeInputWorkload(func::FuncOp Func, exec::KernelShape &Shape,
                            sim::ElemKind &Kind) {
   Operation *Kernel = nullptr;
   int KernelCount = 0;
@@ -414,10 +408,8 @@ bool describeInputWorkload(func::FuncOp Func, CliOptions &Options,
                    A.str().c_str(), B.str().c_str(), C.str().c_str());
       return false;
     }
-    Options.IsMatMul = true;
-    Options.M = A.getDimSize(0);
-    Options.K = A.getDimSize(1);
-    Options.N = B.getDimSize(1);
+    Shape = exec::KernelShape::matmul(A.getDimSize(0), B.getDimSize(1),
+                                      A.getDimSize(1));
     return true;
   }
 
@@ -467,7 +459,9 @@ bool describeInputWorkload(func::FuncOp Func, CliOptions &Options,
   // The output shape must agree with what I, W and the strides imply —
   // the interpreter drives loop bounds from C's type, so an oversized C
   // in the file would write past the --run-allocated buffer.
-  int64_t OutHW = (A.getDimSize(2) - B.getDimSize(2)) / StrideH + 1;
+  Shape = exec::KernelShape::conv(1, A.getDimSize(1), A.getDimSize(2),
+                                  B.getDimSize(0), B.getDimSize(2), StrideH);
+  int64_t OutHW = Shape.outHW();
   if (OutHW < 1 || C.getDimSize(0) != 1 ||
       C.getDimSize(1) != B.getDimSize(0) || C.getDimSize(2) != OutHW ||
       C.getDimSize(3) != OutHW) {
@@ -482,12 +476,6 @@ bool describeInputWorkload(func::FuncOp Func, CliOptions &Options,
                  static_cast<long long>(OutHW));
     return false;
   }
-  Options.IsConv = true;
-  Options.InC = A.getDimSize(1);
-  Options.InHW = A.getDimSize(2);
-  Options.OutC = B.getDimSize(0);
-  Options.FilterHW = B.getDimSize(2);
-  Options.Stride = StrideH;
   return true;
 }
 
@@ -515,8 +503,8 @@ int runTool(CliOptions Options) {
                    ParsedModule->getName().c_str());
       return 1;
     }
-    if (!describeInputWorkload(func::FuncOp(ParsedModule.get()), Options,
-                               InputKind))
+    if (!describeInputWorkload(func::FuncOp(ParsedModule.get()),
+                               Options.Shape, InputKind))
       return 1;
   }
 
@@ -529,22 +517,18 @@ int runTool(CliOptions Options) {
   // Fault schedule: the config file's `faults` section, with --faults
   // entries appended and --spares overriding the spare count.
   sim::FaultPlan FaultPlan = Config->Faults;
-  bool FaultsArmed = Config->HasFaults;
   unsigned Spares = Config->SpareAccelerators;
-  if (!Options.FaultSpec.empty()) {
-    if (failed(sim::parseFaultSpec(Options.FaultSpec, FaultPlan, Error))) {
-      std::fprintf(stderr, "error: in --faults: %s\n", Error.c_str());
-      return 1;
-    }
-    FaultsArmed = true;
+  if (!Options.FaultSpec.empty() &&
+      failed(sim::parseFaultSpec(Options.FaultSpec, FaultPlan, Error))) {
+    std::fprintf(stderr, "error: in --faults: %s\n", Error.c_str());
+    return 1;
   }
   if (Options.Spares >= 0)
     Spares = static_cast<unsigned>(Options.Spares);
 
   // Every accelerator implementing the requested kernel is a dispatch
   // candidate; the planning layer selects the cheapest per problem shape.
-  const char *Kernel =
-      Options.IsMatMul ? "linalg.matmul" : "linalg.conv_2d_nchw_fchw";
+  const char *Kernel = Options.Shape.kernelName();
   std::vector<parser::AcceleratorDesc> Candidates;
   for (const parser::AcceleratorDesc &Desc : Config->Accelerators)
     if (Desc.Kernel == Kernel)
@@ -599,12 +583,7 @@ int runTool(CliOptions Options) {
     Func = func::FuncOp(Owner.get());
   } else {
     OpBuilder Builder(&Context);
-    Func = Options.IsMatMul
-               ? exec::buildMatMulFunc(Builder, Options.M, Options.N,
-                                       Options.K, Kind)
-               : exec::buildConvFunc(Builder, 1, Options.InC, Options.InHW,
-                                     Options.OutC, Options.FilterHW,
-                                     Options.Stride, Kind);
+    Func = exec::buildKernelFunc(Builder, Options.Shape, Kind);
     Owner = OwningOpRef(Func.getOperation());
   }
 
@@ -701,74 +680,21 @@ int runTool(CliOptions Options) {
   if (Options.VerifyEach)
     Options.PlanOpt.VerifyEach = true;
 
-  // Build the matching simulated board from the accelerator name.
-  std::unique_ptr<sim::SoC> Soc;
-  if (Options.IsMatMul) {
-    FailureOr<sim::MatMulAccelerator::Version> Version =
-        sim::MatMulAccelerator::versionFromName(Accel.Name, Error);
-    if (failed(Version)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    // Size the simulated engine from the selected accelerator's largest
-    // tile (a floor of 8 here used to break --run for 4-tile configs).
-    int64_t Size = 0;
-    for (int64_t Tile : Accel.AccelSize)
-      Size = std::max(Size, Tile);
-    if (Size <= 0)
-      Size = 8;
-    Soc = sim::makeMatMulSoC(*Version, Size, Kind);
-  } else {
-    Soc = sim::makeConvSoC(Kind);
-  }
-  // Arm the fault injector and register spare failover units (protocol-
-  // identical clones, scored like the dispatched plan). The injector must
-  // outlive the run: the engine keeps a raw pointer to it.
+  // The simulated board for the dispatched accelerator, with the fault
+  // schedule armed and spare failover units registered.
+  std::unique_ptr<sim::SoC> Soc =
+      exec::makeSoCFor(Accel, Kind, sim::SoCParams(), Error);
   std::optional<sim::FaultInjector> Injector;
-  if (FaultsArmed || Spares > 0) {
-    for (unsigned I = 0; I < Spares; ++I) {
-      auto Spare = Soc->accelerator()->cloneFresh();
-      if (!Spare) {
-        std::fprintf(stderr,
-                     "error: accelerator '%s' cannot provide spare units\n",
-                     Accel.Name.c_str());
-        return 1;
-      }
-      Soc->addSpareAccelerator(std::move(Spare),
-                               Plans->front().EstimatedCostMs);
-    }
-    Injector.emplace(FaultPlan);
-    Soc->attachFaultInjector(&*Injector);
+  if (!Soc || failed(exec::armFaults(*Soc, FaultPlan, Spares,
+                                     Plans->front().EstimatedCostMs,
+                                     Injector, Error))) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
   }
-
   runtime::DmaRuntime Runtime(*Soc, Options.Specialize);
-
-  std::vector<runtime::MemRefDesc> Args;
-  if (Options.IsMatMul) {
-    Args.push_back(runtime::MemRefDesc::alloc({Options.M, Options.K}, Kind));
-    Args.push_back(runtime::MemRefDesc::alloc({Options.K, Options.N}, Kind));
-    Args.push_back(runtime::MemRefDesc::alloc({Options.M, Options.N}, Kind));
-  } else {
-    int64_t OutHW =
-        (Options.InHW - Options.FilterHW) / Options.Stride + 1;
-    Args.push_back(runtime::MemRefDesc::alloc(
-        {1, Options.InC, Options.InHW, Options.InHW}, Kind));
-    Args.push_back(runtime::MemRefDesc::alloc(
-        {Options.OutC, Options.InC, Options.FilterHW, Options.FilterHW},
-        Kind));
-    Args.push_back(
-        runtime::MemRefDesc::alloc({1, Options.OutC, OutHW, OutHW}, Kind));
-  }
-  for (size_t I = 0; I < Args.size(); ++I)
-    exec::fillRandom(Args[I], static_cast<uint32_t>(13 + I));
-
-  // Reference result for validation.
-  runtime::MemRefDesc Expected = exec::cloneMemRef(Args.back());
-  if (Options.IsMatMul)
-    exec::referenceMatMul(Args[0], Args[1], Expected);
-  else
-    exec::referenceConv2D(Args[0], Args[1], Expected, Options.Stride,
-                          Options.Stride);
+  std::vector<runtime::MemRefDesc> Args =
+      exec::makeKernelBuffers(Options.Shape, Kind, /*Seed=*/13);
+  runtime::MemRefDesc OutInitial = exec::cloneMemRef(Args.back());
 
   exec::Interpreter Interp(*Soc, &Runtime, Options.Exec);
   Interp.setPlanOptions(Options.PlanOpt);
@@ -776,7 +702,7 @@ int runTool(CliOptions Options) {
     std::fprintf(stderr, "execution error: %s\n", Error.c_str());
     return 1;
   }
-  bool Match = exec::memrefEquals(Expected, Args.back());
+  bool Match = exec::matchesReference(Options.Shape, Args, OutInitial);
   std::cout << "// ---- execution on the simulated SoC ----\n"
             << "numerics match reference: " << (Match ? "yes" : "NO")
             << "\n"
