@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Ablation bench for the design choices DESIGN.md calls out: the
-/// CPU-cache tiling level (paper Fig. 4 step 4) and the IR level at which
-/// host code executes — accel ops transferring one-by-one vs the batched
-/// axirt runtime calls (paper Sec. III-A offset batching).
+/// CPU-cache tiling level (paper Fig. 4 step 4) and transfer batching —
+/// accel ops transferring one-by-one vs the batched axirt runtime calls
+/// (paper Sec. III-A offset batching).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,9 +84,9 @@ int main() {
 
   printHeader("Ablation: transfer batching (one dma_start_send per token "
               "vs per accel op)");
-  // The batched path is the default pipeline; the unbatched path is the
-  // accel-level interpretation where every transaction ships alone. We
-  // approximate the unbatched cost from DMA transfer counts: each extra
+  // The batched path is the default pipeline. The engines do not execute
+  // unlowered accel ops, so the unbatched cost (every accel transaction
+  // shipping alone) is estimated from DMA transfer counts: each extra
   // transfer costs start+wait host cycles.
   for (int64_t Dims : {64, 128}) {
     MatMulRunConfig Config;

@@ -61,11 +61,6 @@ inline int32_t writeSlot(const PlanView::Inst &I) {
   case Op::Alloc:
   case Op::Load:
   case Op::SubView:
-  case Op::AccelSendLiteral:
-  case Op::AccelSend:
-  case Op::AccelSendDim:
-  case Op::AccelSendIdx:
-  case Op::AccelRecv:
   case Op::CallCopyToDma:
   case Op::CallCopyLiteralToDma:
     return I.Dst;

@@ -6,7 +6,6 @@
 
 #include "exec/ExecPlan.h"
 
-#include "dialects/Accel.h"
 #include "dialects/Arith.h"
 #include "dialects/Linalg.h"
 #include "dialects/MemRef.h"
@@ -75,7 +74,6 @@ struct ExecPlanBuilder {
   LogicalResult compileOp(Operation *Op, std::vector<ExecPlan::Inst> &Out);
   LogicalResult compileGeneric(Operation *Op,
                                std::vector<ExecPlan::Inst> &Out);
-  LogicalResult compileAccel(Operation *Op, std::vector<ExecPlan::Inst> &Out);
   LogicalResult compileCall(Operation *Op, std::vector<ExecPlan::Inst> &Out);
 };
 
@@ -218,12 +216,10 @@ LogicalResult ExecPlanBuilder::compileOp(Operation *Op,
   }
 
   //===--------------------------------------------------------------------===//
-  // linalg / accel / calls
+  // linalg / calls
   //===--------------------------------------------------------------------===//
   if (Name == linalg::GenericOp::OpName)
     return compileGeneric(Op, Out);
-  if (Name.rfind("accel.", 0) == 0)
-    return compileAccel(Op, Out);
   if (Name == func::CallOp::OpName)
     return compileCall(Op, Out);
 
@@ -274,68 +270,6 @@ ExecPlanBuilder::compileGeneric(Operation *Op,
   Plan.Generics.push_back(std::move(G));
   Out.push_back(I);
   return success();
-}
-
-LogicalResult ExecPlanBuilder::compileAccel(Operation *Op,
-                                            std::vector<ExecPlan::Inst> &Out) {
-  using PlanOp = ExecPlan::Op;
-  const std::string &Name = Op->getName();
-  ExecPlan::Inst I;
-
-  if (Name == accel::DmaInitOp::OpName) {
-    I.Code = PlanOp::AccelDmaInit;
-    I.Aux = static_cast<int32_t>(Plan.DmaConfigs.size());
-    Plan.DmaConfigs.push_back(accel::DmaInitOp(Op).getConfig());
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendLiteralOp::OpName) {
-    I.Code = PlanOp::AccelSendLiteral;
-    I.A = slot(Op->getOperand(0));
-    I.Imm = Op->getIntAttr("literal");
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendOp::OpName) {
-    I.Code = PlanOp::AccelSend;
-    I.A = slot(Op->getOperand(0));
-    I.B = slot(Op->getOperand(1));
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendDimOp::OpName) {
-    I.Code = PlanOp::AccelSendDim;
-    I.A = slot(Op->getOperand(0));
-    I.B = slot(Op->getOperand(1));
-    if (Op->hasAttr("static_size")) {
-      I.Sub = 1;
-      I.Imm = Op->getIntAttr("static_size");
-    } else {
-      I.Imm = Op->getIntAttr("dim");
-    }
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::SendIdxOp::OpName) {
-    I.Code = PlanOp::AccelSendIdx;
-    I.A = slot(Op->getOperand(0));
-    I.B = slot(Op->getOperand(1));
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  if (Name == accel::RecvOp::OpName) {
-    I.Code = PlanOp::AccelRecv;
-    I.A = slot(Op->getOperand(0));
-    I.Sub = accel::RecvOp(Op).getMode() == "accumulate" ? 1 : 0;
-    I.Dst = slot(Op->getResult(0));
-    Out.push_back(I);
-    return success();
-  }
-  return fail("unsupported accel op '" + Name + "'");
 }
 
 LogicalResult ExecPlanBuilder::compileCall(Operation *Op,
@@ -538,27 +472,6 @@ void ExecPlan::print(std::ostream &OS) const {
       OS << "] body=" << G.Body.size();
       break;
     }
-    case Op::AccelDmaInit:
-      OS << "accel.dma_init #" << I.Aux;
-      break;
-    case Op::AccelSendLiteral:
-      OS << '%' << I.Dst << " = accel.send_literal " << I.Imm << " @ %"
-         << I.A;
-      break;
-    case Op::AccelSend:
-      OS << '%' << I.Dst << " = accel.send %" << I.A << " @ %" << I.B;
-      break;
-    case Op::AccelSendDim:
-      OS << '%' << I.Dst << " = accel.send_dim %" << I.A
-         << (I.Sub ? " size=" : " dim=") << I.Imm << " @ %" << I.B;
-      break;
-    case Op::AccelSendIdx:
-      OS << '%' << I.Dst << " = accel.send_idx %" << I.A << " @ %" << I.B;
-      break;
-    case Op::AccelRecv:
-      OS << '%' << I.Dst << " = accel.recv %" << I.A
-         << (I.Sub ? " accumulate" : "");
-      break;
     case Op::CallDmaInit:
       OS << "dma_init #" << I.Aux;
       break;

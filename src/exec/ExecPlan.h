@@ -27,9 +27,10 @@
 /// which charges exactly the HostPerfModel events the tree walker charges
 /// for the same function: same events, same order, same addresses.
 /// ExecPlanTest and the differential fuzzers assert this against the
-/// walker on all three abstraction levels. A plan owns copies of
-/// everything it needs (shapes, configs, affine maps), so it stays valid
-/// after the IR is mutated or destroyed.
+/// walker on both executable levels: linalg.generic and axirt runtime
+/// calls. Unlowered accel-dialect ops do not compile. A plan owns copies
+/// of everything it needs (shapes, configs, affine maps), so it stays
+/// valid after the IR is mutated or destroyed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -165,12 +166,6 @@ private:
     Copy,
     SubView,
     Generic,
-    AccelDmaInit,
-    AccelSendLiteral,
-    AccelSend,
-    AccelSendDim,
-    AccelSendIdx,
-    AccelRecv,
     CallDmaInit,
     CallCopyToDma,
     CallCopyLiteralToDma,

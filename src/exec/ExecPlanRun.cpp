@@ -25,16 +25,6 @@ using namespace axi4mlir;
 using namespace axi4mlir::exec;
 using runtime::MemRefDesc;
 
-/// Dispatch backend selection: computed goto is a GNU extension available
-/// on GCC and Clang; everything else (or a build with
-/// AXI4MLIR_FORCE_SWITCH_DISPATCH defined) uses the portable switch loop.
-#if defined(AXI4MLIR_FORCE_SWITCH_DISPATCH) || \
-    !(defined(__GNUC__) || defined(__clang__))
-#define AXI4MLIR_SWITCH_DISPATCH 1
-#else
-#define AXI4MLIR_SWITCH_DISPATCH 0
-#endif
-
 //===----------------------------------------------------------------------===//
 // ExecMode
 //===----------------------------------------------------------------------===//
@@ -151,12 +141,6 @@ struct DecodedProgram {
     Copy,
     SubView,
     Generic,
-    AccelDmaInit,
-    AccelSendLiteral,
-    AccelSend,
-    AccelSendDim,
-    AccelSendIdx,
-    AccelRecv,
     CallDmaInit,
     CallCopyToDma,
     CallCopyLiteralToDma,
@@ -303,7 +287,7 @@ void DecodedProgram::decodeSpan(const std::vector<Inst> &In,
   Out.reserve(In.size() + 1);
   for (const Inst &I : In) {
     DInst D;
-    // ExecPlan::Op and the first 29 DOp values coincide numerically.
+    // ExecPlan::Op and the first 23 DOp values coincide numerically.
     D.Code = static_cast<DOp>(static_cast<uint8_t>(I.Code));
     D.Sub = I.Sub;
     D.Dst = I.Dst;
@@ -342,7 +326,6 @@ void DecodedProgram::decodeSpan(const std::vector<Inst> &In,
       }
       break;
     }
-    case PlanOp::AccelDmaInit:
     case PlanOp::CallDmaInit:
       D.Side = &DmaConfigs[I.Aux];
       break;
@@ -481,16 +464,13 @@ void DecodedProgram::decode(const ExecPlan &Plan) {
 // Dispatch loop
 //===----------------------------------------------------------------------===//
 
-#if AXI4MLIR_SWITCH_DISPATCH
-#define OP(name) case DOp::name
-#define DISPATCH() continue
-#else
+// Token-threaded dispatch through a computed-goto jump table (a GNU
+// extension that GCC and Clang both provide).
 #define OP(name) H_##name
 #define DISPATCH() goto *JumpTable[static_cast<uint8_t>(Ip->Code)]
-#endif
 
 // Runtime-facing handlers bounce out the moment a DMA call reports a
-// non-Ok status, with the same failure text as the other two executors
+// non-Ok status, with the same failure text as the walker
 // (recovery has already absorbed whatever it could by then).
 #define RT_STATUS_CHECK(Rt)                                                    \
   do {                                                                         \
@@ -503,7 +483,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
   Cell *Cells = S.Cells.data();
   const DInst *Ip = Base;
 
-#if !AXI4MLIR_SWITCH_DISPATCH
   // One entry per DOp, in DOp order.
   static const void *const JumpTable[NumDOps] = {
       &&H_ConstInt,
@@ -519,12 +498,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       &&H_Copy,
       &&H_SubView,
       &&H_Generic,
-      &&H_AccelDmaInit,
-      &&H_AccelSendLiteral,
-      &&H_AccelSend,
-      &&H_AccelSendDim,
-      &&H_AccelSendIdx,
-      &&H_AccelRecv,
       &&H_CallDmaInit,
       &&H_CallCopyToDma,
       &&H_CallCopyLiteralToDma,
@@ -541,10 +514,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
       &&H_Return,
   };
   DISPATCH();
-#else
-  for (;;) {
-    switch (Ip->Code) {
-#endif
 
   OP(ConstInt) : {
     Cells[Ip->Dst].setInt(Ip->Imm);
@@ -668,88 +637,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     const auto &DG = *static_cast<const DecodedGeneric *>(Ip->Side);
     if (failed(runOdometer(DG, S)))
       return failure();
-    ++Ip;
-    DISPATCH();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // accel ops (each performs its own staged copy + transfer)
-  //===--------------------------------------------------------------------===//
-  OP(AccelDmaInit) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    S.Runtime->dmaInit(*static_cast<const accel::DmaInitConfig *>(Ip->Side));
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSendLiteral) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->A].I;
-    int64_t End =
-        Rt.copyLiteralToDmaRegion(static_cast<int32_t>(Ip->Imm), Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cells[Ip->Dst].setInt(End);
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSend) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->B].I;
-    int64_t End = Rt.copyToDmaRegion(Cells[Ip->A].M, Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cells[Ip->Dst].setInt(End);
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSendDim) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->B].I;
-    const MemRefDesc &Desc = Cells[Ip->A].M;
-    int64_t Size =
-        Ip->Sub ? Ip->Imm : Desc.Sizes[static_cast<size_t>(Ip->Imm)];
-    int64_t End =
-        Rt.copyLiteralToDmaRegion(static_cast<int32_t>(Size), Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cells[Ip->Dst].setInt(End);
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelSendIdx) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    int64_t Offset = Cells[Ip->B].I;
-    int64_t End = Rt.copyLiteralToDmaRegion(
-        static_cast<int32_t>(Cells[Ip->A].I), Offset);
-    Rt.dmaStartSend(End - Offset, Offset);
-    Rt.dmaWaitSendCompletion();
-    RT_STATUS_CHECK(Rt);
-    Cells[Ip->Dst].setInt(End);
-    ++Ip;
-    DISPATCH();
-  }
-  OP(AccelRecv) : {
-    if (!S.Runtime)
-      return S.fail("accel op executed without a DMA runtime");
-    runtime::DmaRuntime &Rt = *S.Runtime;
-    const MemRefDesc &Desc = Cells[Ip->A].M;
-    Rt.dmaStartRecv(Desc.numElements(), 0);
-    Rt.dmaWaitRecvCompletion();
-    Rt.copyFromDmaRegion(Desc, 0, Ip->Sub != 0);
-    RT_STATUS_CHECK(Rt);
-    Cells[Ip->Dst].setInt(0);
     ++Ip;
     DISPATCH();
   }
@@ -895,11 +782,6 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
   }
 
   OP(Return) : { return success(); }
-
-#if AXI4MLIR_SWITCH_DISPATCH
-    }
-  }
-#endif
 }
 
 #undef OP
@@ -1346,27 +1228,6 @@ void DecodedProgram::print(std::ostream &OS) const {
         OS << " body=" << G.Body.size();
       break;
     }
-    case DOp::AccelDmaInit:
-      OS << "accel.dma_init #" << I.Aux;
-      break;
-    case DOp::AccelSendLiteral:
-      OS << '%' << I.Dst << " = accel.send_literal " << I.Imm << " @ %"
-         << I.A;
-      break;
-    case DOp::AccelSend:
-      OS << '%' << I.Dst << " = accel.send %" << I.A << " @ %" << I.B;
-      break;
-    case DOp::AccelSendDim:
-      OS << '%' << I.Dst << " = accel.send_dim %" << I.A
-         << (I.Sub ? " size=" : " dim=") << I.Imm << " @ %" << I.B;
-      break;
-    case DOp::AccelSendIdx:
-      OS << '%' << I.Dst << " = accel.send_idx %" << I.A << " @ %" << I.B;
-      break;
-    case DOp::AccelRecv:
-      OS << '%' << I.Dst << " = accel.recv %" << I.A
-         << (I.Sub ? " accumulate" : "");
-      break;
     case DOp::CallDmaInit:
       OS << "dma_init #" << I.Aux;
       break;

@@ -10,8 +10,7 @@
 /// dispatch-ready program (dense jump-table opcodes, side-table indices and
 /// slot-pool offsets resolved to raw pointers, specialized micro-kernels
 /// bound per linalg.generic), which a token-threaded dispatch loop then
-/// executes — computed goto on GCC/Clang, a portable switch fallback
-/// behind AXI4MLIR_FORCE_SWITCH_DISPATCH.
+/// executes through a computed-goto jump table.
 ///
 /// At decode time the common `linalg.generic` body shapes are recognized
 /// and bound to straight-line C++ micro-kernels with hardwired inner-loop

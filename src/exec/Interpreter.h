@@ -11,10 +11,12 @@
 /// perf counters it produces correspond to what the paper measures with
 /// perf (Sec. IV).
 ///
-/// Three abstraction levels are executable, enabling lowering ablations:
+/// Two abstraction levels are executable:
 ///   * linalg.generic directly (the mlir_CPU baseline),
-///   * accel-dialect ops (each transaction on its own),
-///   * axirt.* runtime calls (batched transfers; the fully lowered form).
+///   * axirt.* runtime calls (batched transfers; the fully lowered driver
+///     that codegen::emitC prints).
+/// The accel dialect is an intermediate step of the lowering, not a
+/// driver: an unlowered accel.* op fails with "unsupported operation".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +46,7 @@ namespace exec {
 /// buffers and perf counters).
 class Interpreter {
 public:
-  /// \p Runtime may be null for CPU-only functions (no accel/axirt ops).
+  /// \p Runtime may be null for CPU-only functions (no axirt calls).
   Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
               ExecMode Mode = ExecMode::Threaded);
   ~Interpreter();
@@ -75,7 +77,6 @@ private:
   LogicalResult executeOp(Operation *Op);
   LogicalResult executeLinalgGeneric(Operation *Op);
   LogicalResult executeRuntimeCall(Operation *Op);
-  LogicalResult executeAccelOp(Operation *Op);
 
   Cell &value(Value V) { return Env[V.getImpl()]; }
   int64_t intValue(Value V) { return value(V).I; }

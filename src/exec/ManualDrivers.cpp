@@ -8,7 +8,7 @@
 
 #include "sim/AcceleratorModel.h"
 
-#include <cassert>
+#include <utility>
 
 using namespace axi4mlir;
 using namespace axi4mlir::exec;
@@ -93,22 +93,73 @@ public:
   sim::SoC &Soc;
 };
 
+/// Records a violated precondition in \p Error (when given).
+bool reject(std::string *Error, const std::string &Message) {
+  if (Error)
+    *Error = "manual driver: " + Message;
+  return false;
+}
+
+/// A driver's exit: false, with the runtime's message, on a protocol error.
+bool finish(const runtime::DmaRuntime &Runtime, std::string *Error) {
+  if (!Runtime.hadError())
+    return true;
+  if (Error)
+    *Error = "manual driver protocol error: " + Runtime.errorMessage();
+  return false;
+}
+
+/// "<Name> (<Value>)", naming one dimension in a message.
+std::string dimText(const char *Name, int64_t Value) {
+  return std::string(Name) + " (" + std::to_string(Value) + ")";
+}
+
 } // namespace
 
 bool exec::runManualMatMul(runtime::DmaRuntime &Runtime,
                            const MemRefDesc &A, const MemRefDesc &B,
-                           MemRefDesc &C, const ManualMatMulConfig &Config) {
+                           MemRefDesc &C, const ManualMatMulConfig &Config,
+                           std::string *Error) {
   using V = MatMulAccelerator::Version;
+  if (A.rank() != 2 || B.rank() != 2 || C.rank() != 2 ||
+      B.Sizes[0] != A.Sizes[1] || C.Sizes[0] != A.Sizes[0] ||
+      C.Sizes[1] != B.Sizes[1])
+    return reject(Error, "operands are not A[M][K], B[K][N], C[M][N]");
   int64_t M = A.Sizes[0], K = A.Sizes[1], N = B.Sizes[1];
   int64_t TM = Config.TileM, TN = Config.TileN, TK = Config.TileK;
-  assert(M % TM == 0 && N % TN == 0 && K % TK == 0 &&
-         "manual driver requires tile-divisible problems");
+  const std::pair<const char *, int64_t> Dims[] = {{"M", M}, {"N", N},
+                                                   {"K", K}};
+  const int64_t Tiles[] = {TM, TN, TK};
+  for (int D = 0; D < 3; ++D)
+    if (Tiles[D] <= 0 || Dims[D].second < Tiles[D] ||
+        Dims[D].second % Tiles[D] != 0)
+      return reject(Error, dimText(Dims[D].first, Dims[D].second) +
+                               " is not a positive multiple of the tile (" +
+                               std::to_string(Tiles[D]) + ")");
 
-  ManualStager Stage(Runtime);
-  sim::HostPerfModel &Perf = Runtime.soc().perf();
+  const std::string &Flow = Config.Flow;
+  if (Flow != "Ns" && Flow != "As" && Flow != "Bs" && Flow != "Cs")
+    return reject(Error, "unknown flow '" + Flow +
+                             "' (expected Ns, As, Bs or Cs)");
+  if ((Config.Version == V::V1 && Flow != "Ns") ||
+      (Config.Version == V::V2 && Flow == "Cs"))
+    return reject(Error, "flow '" + Flow + "' is not supported on v" +
+                             std::to_string(static_cast<int>(Config.Version) +
+                                            1));
+
   accel::DmaInitConfig Dma;
   Dma.InputBufferSize = 0x40000;
   Dma.OutputBufferSize = 0x40000;
+  // The largest send of any flow: both operand tiles plus opcodes (no
+  // overflow: each tile is at most its operand's allocated size).
+  if (TM * TK + TK * TN + 5 > Dma.InputBufferSize / 4 ||
+      TM * TN > Dma.OutputBufferSize / 4)
+    return reject(Error, "tiles " + std::to_string(TM) + "x" +
+                             std::to_string(TN) + "x" + std::to_string(TK) +
+                             " do not fit the DMA regions");
+
+  ManualStager Stage(Runtime);
+  sim::HostPerfModel &Perf = Runtime.soc().perf();
   Runtime.dmaInit(Dma);
 
   // One-time accelerator init: reset (+ tile config for v4).
@@ -136,7 +187,6 @@ bool exec::runManualMatMul(runtime::DmaRuntime &Runtime,
     Stage.readTile2D(C, M0, N0, TM, TN, /*Offset=*/0, /*Accumulate=*/true);
   };
 
-  const std::string &Flow = Config.Flow;
   if (Flow == "Ns") {
     for (int64_t M0 = 0; M0 < M; M0 += TM) {
       Perf.onLoopIteration();
@@ -165,11 +215,10 @@ bool exec::runManualMatMul(runtime::DmaRuntime &Runtime,
         }
       }
     }
-    return !Runtime.hadError();
+    return finish(Runtime, Error);
   }
 
   if (Flow == "As") {
-    assert(Config.Version != V::V1 && "v1 supports only Ns");
     for (int64_t M0 = 0; M0 < M; M0 += TM) {
       Perf.onLoopIteration();
       for (int64_t K0 = 0; K0 < K; K0 += TK) {
@@ -187,11 +236,10 @@ bool exec::runManualMatMul(runtime::DmaRuntime &Runtime,
         }
       }
     }
-    return !Runtime.hadError();
+    return finish(Runtime, Error);
   }
 
   if (Flow == "Bs") {
-    assert(Config.Version != V::V1 && "v1 supports only Ns");
     for (int64_t N0 = 0; N0 < N; N0 += TN) {
       Perf.onLoopIteration();
       for (int64_t K0 = 0; K0 < K; K0 += TK) {
@@ -209,12 +257,10 @@ bool exec::runManualMatMul(runtime::DmaRuntime &Runtime,
         }
       }
     }
-    return !Runtime.hadError();
+    return finish(Runtime, Error);
   }
 
-  assert(Flow == "Cs" && "unknown manual flow");
-  assert((Config.Version == V::V3 || Config.Version == V::V4) &&
-         "output-stationary needs a v3/v4 accelerator");
+  // Cs: output stationary (v3/v4).
   for (int64_t M0 = 0; M0 < M; M0 += TM) {
     Perf.onLoopIteration();
     for (int64_t N0 = 0; N0 < N; N0 += TN) {
@@ -230,23 +276,56 @@ bool exec::runManualMatMul(runtime::DmaRuntime &Runtime,
       recvC(M0, N0);
     }
   }
-  return !Runtime.hadError();
+  return finish(Runtime, Error);
 }
 
 bool exec::runManualConv2D(runtime::DmaRuntime &Runtime,
                            const MemRefDesc &Input, const MemRefDesc &Filter,
                            MemRefDesc &Output, int64_t StrideH,
-                           int64_t StrideW) {
+                           int64_t StrideW, std::string *Error) {
+  if (Input.rank() != 4 || Filter.rank() != 4 || Output.rank() != 4 ||
+      Input.numElements() == 0 || Filter.numElements() == 0)
+    return reject(Error, "conv2d operands are not non-empty rank-4 "
+                         "NCHW/FCHW memrefs");
+  if (StrideH <= 0 || StrideW <= 0)
+    return reject(Error, "strides must be positive");
   int64_t Batch = Output.Sizes[0], OutChannels = Output.Sizes[1];
   int64_t OutH = Output.Sizes[2], OutW = Output.Sizes[3];
   int64_t InChannels = Filter.Sizes[1], FilterH = Filter.Sizes[2],
           FilterW = Filter.Sizes[3];
+  if (InChannels != Input.Sizes[1])
+    return reject(Error, "filter " + dimText("C", InChannels) +
+                             " differs from input " +
+                             dimText("C", Input.Sizes[1]));
+  // The accelerator is configured with one filter size (CONV_SET_FS).
+  if (FilterH != FilterW || FilterH > Input.Sizes[2] ||
+      FilterW > Input.Sizes[3])
+    return reject(Error, "filter " + std::to_string(FilterH) + "x" +
+                             std::to_string(FilterW) +
+                             " is not square or exceeds the input");
+  const std::pair<const char *, int64_t> Expected[] = {
+      {"N", Input.Sizes[0]},
+      {"F", Filter.Sizes[0]},
+      {"H", (Input.Sizes[2] - FilterH) / StrideH + 1},
+      {"W", (Input.Sizes[3] - FilterW) / StrideW + 1}};
+  for (int D = 0; D < 4; ++D)
+    if (Output.Sizes[D] != Expected[D].second)
+      return reject(Error, "output " +
+                               dimText(Expected[D].first, Output.Sizes[D]) +
+                               " does not follow from the input, filter "
+                               "and stride (expected " +
+                               std::to_string(Expected[D].second) + ")");
 
-  ManualStager Stage(Runtime);
-  sim::HostPerfModel &Perf = Runtime.soc().perf();
   accel::DmaInitConfig Dma;
   Dma.InputBufferSize = 0x80000;
   Dma.OutputBufferSize = 0x80000;
+  if (InChannels * FilterH * FilterW + 1 > Dma.InputBufferSize / 4 ||
+      OutH * OutW > Dma.OutputBufferSize / 4)
+    return reject(Error, "the window or the output slice does not fit the "
+                         "DMA regions");
+
+  ManualStager Stage(Runtime);
+  sim::HostPerfModel &Perf = Runtime.soc().perf();
   Runtime.dmaInit(Dma);
 
   // Configure the engine: filter size then input-channel count.
@@ -328,5 +407,5 @@ bool exec::runManualConv2D(runtime::DmaRuntime &Runtime,
       }
     }
   }
-  return !Runtime.hadError();
+  return finish(Runtime, Error);
 }

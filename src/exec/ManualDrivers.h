@@ -35,20 +35,25 @@ struct ManualMatMulConfig {
 };
 
 /// Runs C += A x B on the accelerator with hand-written driver code.
-/// Problem sizes come from the descriptors; they must be divisible by the
-/// tiles. Returns false on a protocol error.
+/// Problem sizes come from the descriptors; they must be positive
+/// multiples of the tiles, and the version must support the flow. Returns
+/// false, with the reason in \p Error when given, on a violated
+/// precondition (nothing is staged then) or a protocol error.
 bool runManualMatMul(runtime::DmaRuntime &Runtime,
                      const runtime::MemRefDesc &A,
                      const runtime::MemRefDesc &B, runtime::MemRefDesc &C,
-                     const ManualMatMulConfig &Config);
+                     const ManualMatMulConfig &Config,
+                     std::string *Error = nullptr);
 
 /// Runs O += conv2d(I, W) on the conv accelerator with hand-written,
-/// layer-specific driver code (filter+output stationary).
+/// layer-specific driver code (filter+output stationary). The output
+/// shape must follow from the input, the square filter and the strides.
+/// Returns false as runManualMatMul does.
 bool runManualConv2D(runtime::DmaRuntime &Runtime,
                      const runtime::MemRefDesc &Input,
                      const runtime::MemRefDesc &Filter,
                      runtime::MemRefDesc &Output, int64_t StrideH,
-                     int64_t StrideW);
+                     int64_t StrideW, std::string *Error = nullptr);
 
 } // namespace exec
 } // namespace axi4mlir

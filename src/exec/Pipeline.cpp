@@ -204,21 +204,21 @@ std::unique_ptr<sim::SoC> socOf(const ConvRunConfig &Config) {
 
 bool runManualDriver(runtime::DmaRuntime &Runtime,
                      std::vector<MemRefDesc> &Args,
-                     const MatMulRunConfig &Config) {
+                     const MatMulRunConfig &Config, std::string &Error) {
   ManualMatMulConfig Manual;
   Manual.Version = Config.Version;
   Manual.TileM = tileOf(Config, 0);
   Manual.TileN = tileOf(Config, 1);
   Manual.TileK = tileOf(Config, 2);
   Manual.Flow = Config.Flow;
-  return runManualMatMul(Runtime, Args[0], Args[1], Args[2], Manual);
+  return runManualMatMul(Runtime, Args[0], Args[1], Args[2], Manual, &Error);
 }
 
 bool runManualDriver(runtime::DmaRuntime &Runtime,
                      std::vector<MemRefDesc> &Args,
-                     const ConvRunConfig &Config) {
+                     const ConvRunConfig &Config, std::string &Error) {
   return runManualConv2D(Runtime, Args[0], Args[1], Args[2], Config.Stride,
-                         Config.Stride);
+                         Config.Stride, &Error);
 }
 
 /// The tail of every entry point: the reference check (unless validation
@@ -274,13 +274,6 @@ RunResult runAxi4mlir(const RunConfig &Config) {
       makeKernelBuffers(Shape, Config.Kind, Config.Seed);
   MemRefDesc OutInitial = cloneMemRef(Args.back());
   Interpreter Interp(*Soc, &Runtime, Config.Exec);
-  if (!Config.PlanOpt.empty()) {
-    opt::PlanOptOptions OptOptions;
-    if (failed(opt::parsePlanOptSpec(Config.PlanOpt, OptOptions,
-                                     Result.Error)))
-      return Result;
-    Interp.setPlanOptions(OptOptions);
-  }
   if (failed(Interp.run(Func, Args, Result.Error)))
     return Result;
   return finishRun(std::move(Result), Config.Validate, Shape, Args,
@@ -296,10 +289,8 @@ RunResult runManual(const RunConfig &Config) {
   std::vector<MemRefDesc> Args =
       makeKernelBuffers(Shape, Config.Kind, Config.Seed);
   MemRefDesc OutInitial = cloneMemRef(Args.back());
-  if (!runManualDriver(Runtime, Args, Config)) {
-    Result.Error = "manual driver protocol error: " + Runtime.errorMessage();
+  if (!runManualDriver(Runtime, Args, Config, Result.Error))
     return Result;
-  }
   return finishRun(std::move(Result), Config.Validate, Shape, Args,
                    OutInitial, *Soc);
 }

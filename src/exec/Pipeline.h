@@ -54,9 +54,6 @@ struct MatMulRunConfig {
   /// reference execution; disable in large sweeps).
   bool Validate = true;
   uint32_t Seed = 7;
-  /// Plan-optimizer spec for the compiled executor: "none" (default),
-  /// "all", or a comma list of fold/dce/licm/coalesce.
-  std::string PlanOpt;
   /// Which execution engine interprets the lowered host code.
   ExecMode Exec = ExecMode::Threaded;
   /// Fault schedule + recovery policy for the run (empty events =
@@ -109,8 +106,6 @@ struct ConvRunConfig {
   sim::SoCParams Params;
   bool Validate = true;
   uint32_t Seed = 11;
-  /// Plan-optimizer spec (see MatMulRunConfig::PlanOpt).
-  std::string PlanOpt;
   /// Which execution engine interprets the lowered host code.
   ExecMode Exec = ExecMode::Threaded;
   /// Fault schedule + failover spares (see MatMulRunConfig).

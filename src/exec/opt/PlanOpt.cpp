@@ -179,13 +179,9 @@ private:
     case POp::CallWaitSend:
     case POp::CallWaitRecv:
     case POp::CallDmaInit:
-    case POp::AccelDmaInit:
       return;
     case POp::Binary:
     case POp::Copy:
-    case POp::AccelSend:
-    case POp::AccelSendDim:
-    case POp::AccelSendIdx:
     case POp::CallCopyToDma:
     case POp::CallCopyLiteralToDma:
     case POp::CallStartSend:
@@ -197,8 +193,6 @@ private:
       F(I.B);
       return;
     case POp::IndexCast:
-    case POp::AccelSendLiteral:
-    case POp::AccelRecv:
       F(I.A);
       return;
     case POp::LoopBegin:
@@ -572,8 +566,7 @@ private:
 
   /// True if write range \p W at \p Body[Idx] is fully overwritten before
   /// anything can read it. Only the same straight-line level is scanned;
-  /// loops, accel ops and unknown-range region ops stop the scan
-  /// conservatively.
+  /// loops and unknown-range region ops stop the scan conservatively.
   bool deadAfter(std::vector<Node> &Body, size_t Idx, const Range &W,
                  const Analysis &A) {
     for (size_t J = Idx + 1; J < Body.size(); ++J) {
@@ -599,10 +592,6 @@ private:
           return false;
         continue;
       }
-      if (I.Code == POp::AccelDmaInit || I.Code == POp::AccelSendLiteral ||
-          I.Code == POp::AccelSend || I.Code == POp::AccelSendDim ||
-          I.Code == POp::AccelSendIdx || I.Code == POp::AccelRecv)
-        return false;
       // Pure/host instructions never read the staged region.
     }
     return false;
@@ -631,8 +620,8 @@ private:
     explicit LoopFacts(unsigned NumSlots) : Written(NumSlots) {}
     SlotSet Written;
     std::vector<Range> InputWrites; // constant-range staging writes
-    bool RegionUnknown = false;     // accel op / dma_init / unknown range
-    bool HostMemWrite = false;      // store/copy/generic/copy_from/recv
+    bool RegionUnknown = false;     // dma_init / unknown range
+    bool HostMemWrite = false;      // store/copy/generic/copy_from
   };
 
   void collectLoopFacts(std::vector<Node> &Body, const Analysis &A,
@@ -662,7 +651,6 @@ private:
       case POp::Store:
       case POp::Copy:
       case POp::CallCopyFromDma:
-      case POp::AccelRecv:
         Facts.HostMemWrite = true;
         break;
       default:
@@ -680,9 +668,7 @@ private:
         if (!sendRange(I, A, R))
           Facts.RegionUnknown = true;
       }
-      if (I.Code == POp::CallDmaInit || I.Code == POp::AccelDmaInit ||
-          I.Code == POp::AccelSendLiteral || I.Code == POp::AccelSend ||
-          I.Code == POp::AccelSendDim || I.Code == POp::AccelSendIdx)
+      if (I.Code == POp::CallDmaInit)
         Facts.RegionUnknown = true;
     });
   }
@@ -893,12 +879,6 @@ private:
       if (Nd.IsLoop || !Ok)
         return;
       switch (Nd.I.Code) {
-      case POp::AccelDmaInit:
-      case POp::AccelSendLiteral:
-      case POp::AccelSend:
-      case POp::AccelSendDim:
-      case POp::AccelSendIdx:
-      case POp::AccelRecv:
       case POp::CallStartSend: // unfused plan: stay out of its way
       case POp::CallWaitSend:
         Ok = false;

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// Proves the compiled, pre-decoded ExecPlan run by the threaded engine is
-/// indistinguishable from the tree-walking interpreter on all three
-/// abstraction levels (linalg.generic, accel ops, axirt runtime calls):
-/// identical output buffers AND bit-identical HostPerfModel counters. The
-/// threaded engine is the measurement engine for every figure bench, so
-/// this equivalence is what licenses using it by default.
+/// indistinguishable from the tree-walking interpreter on both executable
+/// abstraction levels (linalg.generic, axirt runtime calls): identical
+/// output buffers AND bit-identical HostPerfModel counters. The threaded
+/// engine is the measurement engine for every figure bench, so this
+/// equivalence is what licenses using it by default. Unlowered accel ops
+/// are not a driver language: both engines reject them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +72,7 @@ sim::PerfReport runOn(ExecMode Mode, func::FuncOp Func,
 }
 
 /// How far to lower the matmul before execution.
-enum class Level { Generic, Accel, Axirt };
+enum class Level { Generic, Axirt };
 
 /// Lowers one matmul func to \p L. Returns false (with ADD_FAILURE) on a
 /// pipeline error.
@@ -91,8 +92,7 @@ bool lowerMatMul(func::FuncOp Func, Level L,
     ADD_FAILURE() << Error;
     return false;
   }
-  if (L == Level::Axirt &&
-      failed(transforms::convertAccelToRuntime(Func, Error))) {
+  if (failed(transforms::convertAccelToRuntime(Func, Error))) {
     ADD_FAILURE() << Error;
     return false;
   }
@@ -153,7 +153,7 @@ void checkMatMulEquivalence(Level L, int64_t M, int64_t N, int64_t K,
 }
 
 //===----------------------------------------------------------------------===//
-// The three abstraction levels (acceptance criterion)
+// The executable abstraction levels (acceptance criterion)
 //===----------------------------------------------------------------------===//
 
 TEST(ExecPlan, GenericLevelEquivalence) {
@@ -164,8 +164,43 @@ TEST(ExecPlan, GenericLevelEquivalenceF32) {
   checkMatMulEquivalence(Level::Generic, 8, 10, 12, 8, sim::ElemKind::F32);
 }
 
-TEST(ExecPlan, AccelLevelEquivalence) {
-  checkMatMulEquivalence(Level::Accel, 16, 16, 16, 8);
+/// The accel dialect is an intermediate step of the lowering, not a
+/// driver: a matmul lowered only to accel ops (no convert-accel-to-runtime)
+/// must fail to compile and to walk, naming the first accel op.
+TEST(ExecPlan, AccelLevelIsNotExecutable) {
+  MLIRContext Context;
+  registerAllDialects(Context);
+  OpBuilder Builder(&Context);
+  func::FuncOp Func =
+      buildMatMulFunc(Builder, 16, 16, 16, sim::ElemKind::I32);
+  OwningOpRef Owner(Func.getOperation());
+  parser::AcceleratorDesc Accel =
+      parseSingleAccelerator(makeMatMulConfigJson(V::V3, 8, "Ns"));
+  std::string Error;
+  transforms::LoweringOptions Options;
+  Options.EnableCpuTiling = false;
+  ASSERT_TRUE(succeeded(transforms::convertNamedToGeneric(Func, Error)) &&
+              succeeded(transforms::matchAndAnnotate(Func, Accel, Error)) &&
+              succeeded(transforms::lowerToAccel(Func, Options, Error)))
+      << Error;
+
+  EXPECT_EQ(ExecPlan::compile(Func, Error), nullptr);
+  EXPECT_NE(Error.find("unsupported operation 'accel."), std::string::npos)
+      << Error;
+
+  auto Soc = sim::makeMatMulSoC(V::V3, 8, sim::ElemKind::I32);
+  runtime::DmaRuntime Runtime(*Soc);
+  MemRefDesc A = MemRefDesc::alloc({16, 16});
+  MemRefDesc B = MemRefDesc::alloc({16, 16});
+  MemRefDesc C = MemRefDesc::alloc({16, 16});
+  for (ExecMode Mode : {ExecMode::Walker, ExecMode::Threaded}) {
+    Interpreter Interp(*Soc, &Runtime, Mode);
+    Error.clear();
+    EXPECT_TRUE(failed(Interp.run(Func, {A, B, C}, Error)));
+    EXPECT_NE(Error.find("unsupported operation 'accel."), std::string::npos)
+        << Error;
+  }
+  EXPECT_EQ(Soc->report().DmaTransfers, 0u);
 }
 
 TEST(ExecPlan, AxirtLevelEquivalence) {

@@ -171,13 +171,15 @@ TEST(Interpreter, ErrorsOnBadInput) {
   EXPECT_TRUE(failed(F.run(Func, {}, Error)));
   EXPECT_NE(Error.find("argument count"), std::string::npos);
 
-  // accel op without a runtime.
+  // Runtime call without a runtime.
   MLIRContext &Ctx = F.Context;
   OpBuilder Builder(&Ctx);
   func::FuncOp Func2 = func::FuncOp::create(Builder, "f", {});
   OwningOpRef Owner2(Func2.getOperation());
   Builder.setInsertionPointToEnd(&Func2.getBody());
-  accel::DmaInitOp::create(Builder, accel::DmaInitConfig());
+  func::CallOp::create(Builder, transforms::rtcall::DmaInit, {})
+      .getOperation()
+      ->setAttr("dma_config", Attribute::getDmaConfig(accel::DmaInitConfig()));
   func::ReturnOp::create(Builder);
   Error.clear();
   EXPECT_TRUE(failed(F.run(Func2, {}, Error)));

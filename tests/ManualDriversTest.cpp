@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/ManualDrivers.h"
+#include "exec/Pipeline.h"
 #include "exec/Reference.h"
 
 #include <gtest/gtest.h>
@@ -85,6 +86,85 @@ TEST(ManualMatMul, StationaryFlowsMoveLessData) {
   uint64_t Ns = run("Ns"), As = run("As"), Cs = run("Cs");
   EXPECT_LT(As, Ns);
   EXPECT_LT(Cs, Ns);
+}
+
+/// Preconditions are failures, not asserts: in a release build a violated
+/// one used to stage tiles past the matrices' edges and report success.
+RunResult runManualMatMulPoint(int64_t M, int64_t N, int64_t K, V Version,
+                               const std::string &Flow) {
+  MatMulRunConfig Config;
+  Config.M = M;
+  Config.N = N;
+  Config.K = K;
+  Config.Version = Version;
+  Config.AccelSize = 8;
+  Config.Flow = Flow;
+  return runMatMulManual(Config);
+}
+
+TEST(ManualMatMul, RejectsNonDivisibleShape) {
+  RunResult R = runManualMatMulPoint(60, 52, 72, V::V3, "As");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("M (60) is not a positive multiple of the tile (8)"),
+            std::string::npos)
+      << R.Error;
+}
+
+TEST(ManualMatMul, RejectsFlowTheVersionLacks) {
+  RunResult R = runManualMatMulPoint(16, 16, 16, V::V1, "As");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("flow 'As' is not supported on v1"),
+            std::string::npos)
+      << R.Error;
+}
+
+TEST(ManualMatMul, RejectsTilesOverflowingTheDmaRegion) {
+  // Two 256x256 operand tiles stage 131077 words per send; the manual
+  // driver's input region holds 65536.
+  MemRefDesc A = MemRefDesc::alloc({256, 256});
+  MemRefDesc B = MemRefDesc::alloc({256, 256});
+  MemRefDesc C = MemRefDesc::alloc({256, 256});
+  auto Soc = sim::makeMatMulSoC(V::V4, 256);
+  runtime::DmaRuntime Runtime(*Soc);
+  ManualMatMulConfig Config;
+  Config.Version = V::V4;
+  Config.TileM = Config.TileN = Config.TileK = 256;
+  std::string Error;
+  EXPECT_FALSE(runManualMatMul(Runtime, A, B, C, Config, &Error));
+  EXPECT_NE(Error.find("tiles 256x256x256 do not fit the DMA regions"),
+            std::string::npos)
+      << Error;
+}
+
+TEST(ManualConv, RejectsOutputShapeNotFollowingFromStride) {
+  // 9x9 input, 3x3 filter, stride 2: the output is 4x4, not 3x3.
+  MemRefDesc I = MemRefDesc::alloc({1, 3, 9, 9});
+  MemRefDesc W = MemRefDesc::alloc({2, 3, 3, 3});
+  MemRefDesc O = MemRefDesc::alloc({1, 2, 3, 3});
+  auto Soc = sim::makeConvSoC();
+  runtime::DmaRuntime Runtime(*Soc);
+  std::string Error;
+  EXPECT_FALSE(runManualConv2D(Runtime, I, W, O, 2, 2, &Error));
+  EXPECT_NE(Error.find("output H (3) does not follow from the input, filter "
+                       "and stride (expected 4)"),
+            std::string::npos)
+      << Error;
+  EXPECT_EQ(Soc->report().DmaTransfers, 0u);
+}
+
+TEST(ManualConv, RejectsOutputSliceOverflowingTheDmaRegion) {
+  // A 400x400 output slice is 160000 words; the output region holds
+  // 131072.
+  MemRefDesc I = MemRefDesc::alloc({1, 1, 400, 400});
+  MemRefDesc W = MemRefDesc::alloc({1, 1, 1, 1});
+  MemRefDesc O = MemRefDesc::alloc({1, 1, 400, 400});
+  auto Soc = sim::makeConvSoC();
+  runtime::DmaRuntime Runtime(*Soc);
+  std::string Error;
+  EXPECT_FALSE(runManualConv2D(Runtime, I, W, O, 1, 1, &Error));
+  EXPECT_NE(Error.find("output slice does not fit the DMA regions"),
+            std::string::npos)
+      << Error;
 }
 
 TEST(ManualConv, MatchesReferenceStride1And2) {
